@@ -6,10 +6,10 @@ Usage (from the repository root)::
     PYTHONPATH=src python benchmarks/perf/run.py --mode full
     PYTHONPATH=src python benchmarks/perf/run.py -o /tmp/b.json
 
-Four microbenchmarks are timed:
+Six microbenchmarks are timed:
 
-* ``mc_kernel``    — legacy vs vectorized stationary MC solves on the
-  Fig 8 ratio-sweep grid; the headline is the aggregate speedup.
+* ``mc_kernel``    — stationary MC solves on the Fig 8 ratio-sweep
+  grid: seconds, estimate and stderr per point, plus the total.
 * ``packet_sim``   — discrete-event engine step rate on one streaming
   session of the 2-2 validation setting.
 * ``chain_build``  — TcpFlowChain construction and vectorized-table
@@ -128,17 +128,13 @@ def main(argv=None) -> int:
     mc = results["mc_kernel"]
     sim = results["packet_sim"]
     build = results["chain_build"]
-    print(f"[mc_kernel] {len(mc['points'])} grid points: "
-          f"legacy {mc['total_seconds']['legacy']:.2f}s, "
-          f"vectorized {mc['total_seconds']['vectorized']:.2f}s "
-          f"-> {mc['speedup']:.1f}x")
+    print(f"[mc_kernel] {len(mc['points'])} grid points in "
+          f"{mc['total_seconds']['vectorized']:.2f}s")
     for point in mc["points"]:
-        leg, vec = point["legacy"], point["vectorized"]
+        vec = point["vectorized"]
         print(f"  ratio={point['ratio']:<4g} tau={point['tau']:<4g} "
-              f"legacy {leg['late_fraction']:.3e}±{leg['stderr']:.1e} "
-              f"({leg['seconds']:.2f}s)  "
-              f"vec {vec['late_fraction']:.3e}±{vec['stderr']:.1e} "
-              f"({vec['seconds']:.2f}s)  {point['speedup']:.1f}x")
+              f"{vec['late_fraction']:.3e}±{vec['stderr']:.1e} "
+              f"({vec['seconds']:.2f}s)")
     print(f"[packet_sim] {sim['events']} events in "
           f"{sim['seconds']:.2f}s -> "
           f"{sim['events_per_second']:,.0f} events/s")

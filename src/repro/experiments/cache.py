@@ -37,7 +37,6 @@ from typing import (TYPE_CHECKING, Any, Dict, Optional, Sequence,
 
 from repro import telemetry
 from repro.model.dmp_model import LateFractionEstimate
-from repro.model.mc_kernel import resolve_kernel
 from repro.model.meanfield import MeanFieldSpec
 from repro.verify.spec import VerifySpec
 
@@ -70,7 +69,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: QoE ``health`` rollup (per-session rows plus mergeable log
 #: histograms, ``repro.obs.health``); presence is re-checked on read
 #: like ``sessions``, and pre-v9 campaign records lack it.
-CODE_VERSION = 9
+#: v10: one Monte-Carlo engine — the legacy event-by-event kernel and
+#: its selector are gone, so model keys drop the ``mc_kernel`` tag and
+#: model records the ``kernel`` field; estimates are bit-identical to
+#: v9 vectorized records.
+CODE_VERSION = 10
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE = "REPRO_CACHE"
@@ -163,9 +166,6 @@ class ResultCache:
             "tau": task.tau,
             "horizon_s": task.horizon_s,
             "seed": task.seed,
-            # Tagging by resolved kernel keeps vectorized and legacy
-            # estimates under distinct records.
-            "mc_kernel": resolve_kernel(task.mc_kernel),
         }
 
     def model_key(self, task: "ModelTask") -> str:
@@ -331,8 +331,7 @@ class ResultCache:
                 stderr=float(record["stderr"]),
                 horizon_s=float(record["horizon_s"]),
                 method=str(record["method"]),
-                path_shares=tuple(record.get("path_shares", ())),
-                kernel=str(record["kernel"]))
+                path_shares=tuple(record.get("path_shares", ())))
         except (KeyError, TypeError, ValueError):
             self._miss("model")
             return None
@@ -347,7 +346,6 @@ class ResultCache:
             "horizon_s": estimate.horizon_s,
             "method": estimate.method,
             "path_shares": list(estimate.path_shares),
-            "kernel": estimate.kernel,
         }, "model")
 
     # -- mean-field records --------------------------------------------

@@ -51,7 +51,7 @@ from repro.experiments.optional_deps import (EXIT_MISSING_DEPENDENCY,
                                              MissingDependencyError)
 from repro.experiments.report import save_output
 from repro.experiments.runner import scale_profile
-from repro.model import mc_kernel, meanfield
+from repro.model import meanfield
 from repro.sim.queueing import QUEUE_DISCIPLINES
 
 
@@ -346,10 +346,6 @@ def main(argv=None) -> int:
         help="result-cache directory (default: $REPRO_CACHE_DIR or "
              "~/.cache/repro)")
     parser.add_argument(
-        "--mc-kernel", choices=list(mc_kernel.KERNELS), default=None,
-        help="model Monte-Carlo engine (default: $REPRO_MC_KERNEL "
-             "or vectorized)")
-    parser.add_argument(
         "--telemetry-out", default=None, metavar="FILE",
         help="stream campaign telemetry (spans + metrics) to FILE "
              "as JSON lines")
@@ -537,12 +533,9 @@ def _dispatch(parser, args) -> int:
         parser.error("--workers must be >= 1")
     prev_workers = parallel._default["max_workers"]
     prev_cache = dict(result_cache._default)
-    prev_kernel = mc_kernel._default["kernel"]
     parallel.configure(max_workers=args.workers)
     result_cache.configure(enabled=not args.no_cache,
                            directory=args.cache_dir)
-    if args.mc_kernel is not None:
-        mc_kernel.configure(args.mc_kernel)
 
     profile = scale_profile(args.scale)
     targets = sorted(BUILDERS) if args.target == "all" \
@@ -592,7 +585,6 @@ def _dispatch(parser, args) -> int:
         parallel.configure(max_workers=prev_workers)
         result_cache._default.update(prev_cache)
         result_cache._default["instance"] = None
-        mc_kernel.configure(prev_kernel)
     return 0
 
 

@@ -86,21 +86,13 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class ModelTask:
-    """One ``late_fraction_mc`` solve, picklable.
-
-    ``mc_kernel`` is resolved to a concrete kernel name at task-build
-    time (see :func:`repro.model.mc_kernel.resolve_kernel`) so worker
-    processes — which do not inherit ``mc_kernel.configure()`` state —
-    run exactly the kernel the parent picked, and cache keys are
-    stable.
-    """
+    """One ``late_fraction_mc`` solve, picklable."""
 
     flows: Tuple[FlowParams, ...]
     mu: float
     tau: float
     horizon_s: float
     seed: int
-    mc_kernel: Optional[str] = None
 
 
 def simulate_run(spec: RunSpec) -> Dict[str, Any]:
@@ -217,8 +209,7 @@ def solve_model(task: ModelTask) -> LateFractionEstimate:
                   flows=len(task.flows)):
         model = DmpModel(list(task.flows), mu=task.mu, tau=task.tau)
         return model.late_fraction_mc(horizon_s=task.horizon_s,
-                                      seed=task.seed,
-                                      mc_kernel=task.mc_kernel)
+                                      seed=task.seed)
 
 
 class _CapturedCall:

@@ -32,7 +32,6 @@ from repro.experiments.parallel import (
     ReplicationExecutor,
     RunSpec,
 )
-from repro.model.mc_kernel import resolve_kernel
 from repro.model.tcp_chain import FlowParams
 
 DEFAULT_TAUS = (4.0, 6.0, 8.0, 10.0)
@@ -182,8 +181,8 @@ def run_setting(setting: Setting,
                 max_workers: Optional[int] = None,
                 cache=None,
                 counters: bool = False,
-                executor: Optional[ReplicationExecutor] = None,
-                mc_kernel: Optional[str] = None) -> ReplicatedRun:
+                executor: Optional[ReplicationExecutor] = None) \
+        -> ReplicatedRun:
     """Run one validation setting: N simulations + the model.
 
     The model is fed the *measured* per-path (p, R, T_O) averaged over
@@ -198,9 +197,6 @@ def run_setting(setting: Setting,
     :class:`repro.experiments.cache.ResultCache` (``None`` = the
     configured default, ``False`` = bypass): already-simulated
     (setting, seed) records are reused instead of re-simulated.
-    ``mc_kernel`` picks the model MC engine ("vectorized"/"legacy";
-    ``None`` = the configured default) and is resolved here so worker
-    processes and cache keys see a concrete kernel name.
     """
     if setting.n_sessions > 1:
         raise ValueError(
@@ -271,8 +267,7 @@ def run_setting(setting: Setting,
         if run_model:
             tasks = [ModelTask(flows=tuple(flow_params), mu=setting.mu,
                                tau=tau, horizon_s=profile.model_horizon_s,
-                               seed=seed0,
-                               mc_kernel=resolve_kernel(mc_kernel))
+                               seed=seed0)
                      for tau in taus]
             cached = [cache.get_model(task) if cache else None
                       for task in tasks]

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
-from repro.experiments.cache import resolve_cache
+from repro.experiments.cache import ResultCache, resolve_cache
 from repro.experiments.parallel import ModelTask, ReplicationExecutor
-from repro.model.dmp_model import DmpModel
-from repro.model.mc_kernel import resolve_kernel
+from repro.model.dmp_model import DmpModel, LateFractionEstimate
 from repro.model.singlepath import SinglePathModel
 from repro.model.tcp_chain import FlowParams, TcpFlowChain
 
@@ -106,8 +105,7 @@ def fig8_curves(p: float = 0.02, to_ratio: float = 4.0,
                 horizon_s: float = 20000.0,
                 seed: int = 0,
                 max_workers: Optional[int] = None,
-                cache=None,
-                mc_kernel: Optional[str] = None) \
+                cache: Union[ResultCache, bool, None] = None) \
         -> Dict[float, List[Tuple[float, float]]]:
     """Late fraction vs startup delay for several sigma_a/mu ratios.
 
@@ -117,35 +115,34 @@ def fig8_curves(p: float = 0.02, to_ratio: float = 4.0,
     same seed, so output is identical to the serial sweep.
     """
     executor = ReplicationExecutor(max_workers=max_workers)
-    cache = resolve_cache(cache)
-    kernel = resolve_kernel(mc_kernel)
+    store = resolve_cache(cache)
     grid: List[Tuple[float, float]] = [
         (ratio, float(tau)) for ratio in ratios for tau in taus]
-    tasks = []
+    tasks: List[ModelTask] = []
     for ratio, tau in grid:
         rtt = rtt_for_ratio(p, to_ratio, mu, ratio)
         params = FlowParams(p=p, rtt=rtt, to_ratio=to_ratio)
         tasks.append(ModelTask(flows=(params, params), mu=mu, tau=tau,
-                               horizon_s=horizon_s, seed=seed,
-                               mc_kernel=kernel))
+                               horizon_s=horizon_s, seed=seed))
     tel = telemetry.current()
     with tel.span("sweep.fig8", points=len(grid), ratios=len(ratios),
-                  taus=len(taus), kernel=kernel):
-        estimates = [cache.get_model(task) if cache else None
-                     for task in tasks]
+                  taus=len(taus)):
+        estimates: List[Optional[LateFractionEstimate]] = [
+            store.get_model(task) if store else None for task in tasks]
         unsolved = [idx for idx, est in enumerate(estimates)
                     if est is None]
         solved = executor.solve_models(
             [tasks[idx] for idx in unsolved])
         for idx, estimate in zip(unsolved, solved):
             estimates[idx] = estimate
-            if cache:
-                cache.put_model(tasks[idx], estimate)
+            if store:
+                store.put_model(tasks[idx], estimate)
 
     curves: Dict[float, List[Tuple[float, float]]] = {
         ratio: [] for ratio in ratios}
-    for (ratio, tau), estimate in zip(grid, estimates):
-        curves[ratio].append((tau, estimate.late_fraction))
+    for (ratio, tau), solution in zip(grid, estimates):
+        assert solution is not None  # every miss was solved above
+        curves[ratio].append((tau, solution.late_fraction))
     return curves
 
 
@@ -169,15 +166,13 @@ def fig9a_rows(ratio: float = 1.6, to_ratio: float = 4.0,
                threshold: float = DEFAULT_THRESHOLD,
                horizon_s: float = 20000.0,
                max_rtt: float = 0.6,
-               seed: int = 0,
-               mc_kernel: Optional[str] = None) \
-        -> List[RequiredDelayRow]:
+               seed: int = 0) -> List[RequiredDelayRow]:
     """Vary RTT to fix the ratio; one bar per (p, mu).
 
     The paper omits (p=0.004, mu=25) because the implied RTT exceeds
     600 ms; ``max_rtt`` reproduces that rule.
     """
-    rows = []
+    rows: List[RequiredDelayRow] = []
     for mu in mus:
         for p in losses:
             rtt = rtt_for_ratio(p, to_ratio, mu, ratio)
@@ -187,7 +182,7 @@ def fig9a_rows(ratio: float = 1.6, to_ratio: float = 4.0,
             model = DmpModel([params, params], mu=mu, tau=1.0)
             required = model.required_startup_delay(
                 threshold=threshold, taus=REQUIRED_DELAY_GRID,
-                horizon_s=horizon_s, seed=seed, mc_kernel=mc_kernel)
+                horizon_s=horizon_s, seed=seed)
             rows.append(RequiredDelayRow(
                 label=f"mu={mu:g},p={p:g}", p=p, rtt=rtt,
                 to_ratio=to_ratio, mu=mu, ratio=ratio,
@@ -200,11 +195,9 @@ def fig9b_rows(ratio: float = 1.6, to_ratio: float = 4.0,
                rtts: Sequence[float] = (0.1, 0.2, 0.3),
                threshold: float = DEFAULT_THRESHOLD,
                horizon_s: float = 20000.0,
-               seed: int = 0,
-               mc_kernel: Optional[str] = None) \
-        -> List[RequiredDelayRow]:
+               seed: int = 0) -> List[RequiredDelayRow]:
     """Vary mu to fix the ratio; one bar per (p, R)."""
-    rows = []
+    rows: List[RequiredDelayRow] = []
     for rtt in rtts:
         for p in losses:
             params = FlowParams(p=p, rtt=rtt, to_ratio=to_ratio)
@@ -212,7 +205,7 @@ def fig9b_rows(ratio: float = 1.6, to_ratio: float = 4.0,
             model = DmpModel([params, params], mu=mu, tau=1.0)
             required = model.required_startup_delay(
                 threshold=threshold, taus=REQUIRED_DELAY_GRID,
-                horizon_s=horizon_s, seed=seed, mc_kernel=mc_kernel)
+                horizon_s=horizon_s, seed=seed)
             rows.append(RequiredDelayRow(
                 label=f"R={rtt * 1000:g}ms,p={p:g}", p=p, rtt=rtt,
                 to_ratio=to_ratio, mu=mu, ratio=ratio,
@@ -261,16 +254,14 @@ def fig10_rows(gammas: Sequence[float] = (1.5, 2.0),
                to_ratio: float = 4.0,
                threshold: float = DEFAULT_THRESHOLD,
                horizon_s: float = 20000.0,
-               seed: int = 0,
-               mc_kernel: Optional[str] = None) \
-        -> List[HeterogeneityRow]:
+               seed: int = 0) -> List[HeterogeneityRow]:
     """Required startup delay under homogeneous vs heterogeneous paths.
 
     The paper's 24 settings: Case 1 with po in {0.01, 0.04} (Ro=150ms),
     Case 2 with Ro in {100, 300} ms (po=0.02), each with gamma in
     {1.5, 2} and sigma_a/mu in {1.4, 1.6, 1.8}.
     """
-    scenarios = []
+    scenarios: List[Tuple[int, float, float]] = []
     for po in (0.01, 0.04):
         scenarios.append((1, po, 0.150))
     for ro in (0.100, 0.300):
@@ -291,12 +282,10 @@ def fig10_rows(gammas: Sequence[float] = (1.5, 2.0),
                 hetero_model = DmpModel(list(hetero), mu=mu, tau=1.0)
                 req_homo = homo_model.required_startup_delay(
                     threshold=threshold, taus=REQUIRED_DELAY_GRID,
-                    horizon_s=horizon_s, seed=seed,
-                    mc_kernel=mc_kernel)
+                    horizon_s=horizon_s, seed=seed)
                 req_hetero = hetero_model.required_startup_delay(
                     threshold=threshold, taus=REQUIRED_DELAY_GRID,
-                    horizon_s=horizon_s, seed=seed,
-                    mc_kernel=mc_kernel)
+                    horizon_s=horizon_s, seed=seed)
                 rows.append(HeterogeneityRow(
                     case=case, gamma=gamma, ratio=ratio,
                     homo_params=homo, hetero_params=hetero, mu=mu,
@@ -320,14 +309,11 @@ class StaticComparisonRow:
 
 def _required_static(params: FlowParams, mu: float, threshold: float,
                      horizon_s: float, seed: int,
-                     taus: Sequence[float],
-                     mc_kernel: Optional[str] = None) \
-        -> Optional[float]:
+                     taus: Sequence[float]) -> Optional[float]:
     """Required delay for the static scheme: two mu/2 sub-videos."""
     model = SinglePathModel(params, mu=mu / 2.0, tau=1.0)
     return model.required_startup_delay(
-        threshold=threshold, taus=taus, horizon_s=horizon_s, seed=seed,
-        mc_kernel=mc_kernel)
+        threshold=threshold, taus=taus, horizon_s=horizon_s, seed=seed)
 
 
 def fig11_rows(to_ratio: float = 4.0,
@@ -337,11 +323,9 @@ def fig11_rows(to_ratio: float = 4.0,
                    (0.300, 1.8), (0.300, 2.0)),
                threshold: float = DEFAULT_THRESHOLD,
                horizon_s: float = 20000.0,
-               seed: int = 0,
-               mc_kernel: Optional[str] = None) \
-        -> List[StaticComparisonRow]:
+               seed: int = 0) -> List[StaticComparisonRow]:
     """Required startup delay: DMP vs static (Section 7.4)."""
-    rows = []
+    rows: List[StaticComparisonRow] = []
     for rtt, ratio in groups:
         for p in losses:
             params = FlowParams(p=p, rtt=rtt, to_ratio=to_ratio)
@@ -349,10 +333,10 @@ def fig11_rows(to_ratio: float = 4.0,
             dmp_model = DmpModel([params, params], mu=mu, tau=1.0)
             req_dmp = dmp_model.required_startup_delay(
                 threshold=threshold, taus=REQUIRED_DELAY_GRID,
-                horizon_s=horizon_s, seed=seed, mc_kernel=mc_kernel)
+                horizon_s=horizon_s, seed=seed)
             req_static = _required_static(
                 params, mu, threshold, horizon_s, seed,
-                STATIC_DELAY_GRID, mc_kernel=mc_kernel)
+                STATIC_DELAY_GRID)
             rows.append(StaticComparisonRow(
                 p=p, rtt=rtt, ratio=ratio, mu=mu,
                 required_dmp=req_dmp, required_static=req_static))

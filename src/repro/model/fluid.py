@@ -86,9 +86,14 @@ def late_fraction_from_trace(rates: Union[Sequence[float], FloatArray],
     grid of step ``dt`` starting at the session's t=0; generation runs
     at ``mu`` for ``video_duration_s`` seconds (``None`` = the whole
     trace, the live-stream case) and playback starts at ``tau``.  The
-    returned fraction is the share of playback steps still in deficit
-    — packets that miss their ``tau + i/mu`` deadline — matching
-    :func:`repro.core.metrics.late_fraction` in the fluid limit.
+    returned fraction is the share of ``dt``-long playback units still
+    in deficit at their ``tau + (j+1)*dt`` deadline — packets that
+    miss their ``tau + i/mu`` deadline — matching
+    :func:`repro.core.metrics.late_fraction` in the fluid limit.  A
+    finite video counts all of its units, including those due after
+    the trace ends (nothing more is delivered then), so the fraction
+    is non-increasing in ``tau``; a live stream counts the units due
+    inside the trace.
     """
     if mu <= 0 or tau < 0:
         raise ValueError("need mu > 0 and tau >= 0")
@@ -100,30 +105,35 @@ def late_fraction_from_trace(rates: Union[Sequence[float], FloatArray],
     if np.any(rate < 0):
         raise ValueError("rates must be non-negative")
     steps = rate.size
-    times = np.arange(steps) * dt
-
-    ends = times + dt
+    ends = (np.arange(steps) + 1.0) * dt
     if video_duration_s is None:
         generated = mu * ends
         total = float("inf")
+        # Live stream: the playback units due inside the trace.
+        units = int(np.floor(steps - tau / dt + 1e-9))
     else:
         if video_duration_s <= 0:
             raise ValueError("video_duration_s must be positive")
         generated = mu * np.minimum(ends, video_duration_s)
         total = mu * video_duration_s
+        # Finite video: every unit of it, whatever tau is, so the
+        # fraction is over a fixed count and cannot rise with tau.
+        units = int(np.ceil(video_duration_s / dt - 1e-9))
+    if units <= 0:
+        return 0.0
 
     arrived = arrival_curve(rate, generated, dt)
 
-    playback = mu * (ends - tau)
-    # A step "plays" while playback is positive and the content was
-    # not already exhausted at the step's start.
-    playing = (playback > 0) & (playback - mu * dt < total)
-    played = int(np.count_nonzero(playing))
-    if played == 0:
-        return 0.0
-    target = np.minimum(playback, total)
-    deficit = playing & (arrived < target - 1e-9)
-    return float(np.count_nonzero(deficit) / played)
+    # Playback unit j (one dt of content) is due at tau + (j+1)*dt.
+    # The delivered curve is linear within a step (constant rate) and
+    # flat after the trace ends, so off-grid deadlines interpolate it
+    # and later deadlines never see less delivered.
+    played = (np.arange(units) + 1.0) * dt
+    delivered = np.interp(tau + played, np.concatenate(([0.0], ends)),
+                          np.concatenate(([0.0], arrived)))
+    target = np.minimum(mu * played, total)
+    late = int(np.count_nonzero(delivered < target - 1e-9))
+    return late / units
 
 
 def fluid_late_fraction(paths: Sequence[OnOffPath], mu: float,

@@ -1,43 +1,38 @@
 """Vectorized Monte-Carlo kernels for the coupled DMP CTMC.
 
-The event-by-event solvers in :mod:`repro.model.dmp_model` advance one
-replica one transition at a time, with one RNG call and one Python-level
-outcome scan per event.  This module runs ``R`` independent replicas of
-the same chain *in lockstep*: the per-flow outcome lists are flattened
-once into padded 2D numpy arrays (cumulative-probability rows,
-next-state ids, delivered-packet counts), randomness is drawn in blocks,
-and every vector step advances all replicas by one event — the firing
-flow and its outcome are found with array comparisons (the row-wise
-equivalent of ``searchsorted``) instead of per-event Python loops.
+The kernels run ``R`` independent replicas of the same chain *in
+lockstep*: the per-flow outcome lists are flattened once into padded
+2D numpy arrays (cumulative-probability rows, next-state ids,
+delivered-packet counts), randomness is drawn in blocks, and every
+vector step advances all replicas by one event — the firing flow and
+its outcome are found with array comparisons (the row-wise equivalent
+of ``searchsorted``) instead of per-event Python loops.
 
-Two kernels are provided, mirroring the two event-by-event solvers:
+Two kernels are provided, one per Monte-Carlo solver of
+:class:`~repro.model.dmp_model.DmpModel`:
 
 * :func:`stationary_late_fraction` — the stationary estimator.  The
-  legacy solver splits one long run into wall-clock batches; here the
-  lockstep replicas *are* the batches: each replica burns in from a
-  warm start (flow states drawn from the per-chain stationary
-  marginals, buffer full) and then measures an equal slice of the
-  requested horizon, so the total measured model time — and therefore
-  the standard error — matches the legacy run while the work is done in
-  wide vector steps.  The Rao-Blackwellised late accounting
-  (:func:`expected_excess_array`, the array form of
-  ``expected_excess``) is kept intact.
+  lockstep replicas are the batches of a batch-means estimate: each
+  replica burns in from a warm start (flow states drawn from the
+  per-chain stationary marginals, buffer full) and then measures an
+  equal slice of the requested horizon, so the total measured model
+  time sets the standard error while the work is done in wide vector
+  steps.  Late packets are accounted as a conditional expectation
+  (Rao-Blackwellised, :func:`expected_excess_array`).
 * :func:`transient_late_fraction` — the finite-video estimator, with
-  the replications as the vector axis and the exact event semantics of
-  the legacy loop (time-varying live cap, explicit consumption events).
+  the replications as the vector axis and explicit event semantics
+  (time-varying live cap, explicit consumption events).
 
-Kernel selection: solver entry points accept ``mc_kernel`` in
-``{"vectorized", "legacy"}``; ``None`` resolves through
-:func:`default_kernel` (``configure()`` > ``$REPRO_MC_KERNEL`` >
-``"vectorized"``).
+Both are pinned against exact solvers in the tests: the stationary
+late fraction and path shares against
+:meth:`~repro.model.dmp_model.DmpModel.late_fraction_exact` and the
+chains' own throughputs, the transient estimate against the exact
+stationary answer in the long-video limit.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -51,9 +46,6 @@ if TYPE_CHECKING:
 
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
-
-KERNELS = ("vectorized", "legacy")
-ENV_KERNEL = "REPRO_MC_KERNEL"
 
 #: Outcome probabilities must sum to one within this tolerance at
 #: table-build time (they are then normalised exactly).
@@ -78,57 +70,15 @@ BURN_IN_TAUS = 2.0
 BURN_IN_FRACTION = 0.4
 
 # ---------------------------------------------------------------------
-# Kernel selection
-# ---------------------------------------------------------------------
-_default: Dict[str, Optional[str]] = {"kernel": None}
-
-
-def configure(kernel: Optional[str] = None) -> None:
-    """Set the process-wide default kernel used when callers pass None.
-
-    ``None`` restores the initial behaviour: ``$REPRO_MC_KERNEL`` when
-    set, otherwise ``"vectorized"``.
-    """
-    if kernel is not None and kernel not in KERNELS:
-        raise ValueError(f"unknown mc kernel {kernel!r}; "
-                         f"choose from {KERNELS}")
-    _default["kernel"] = kernel
-
-
-def default_kernel() -> str:
-    """Resolve the default kernel (configure > env > vectorized)."""
-    configured = _default["kernel"]
-    if configured is not None:
-        return configured
-    env = os.environ.get(ENV_KERNEL)
-    if env:
-        if env in KERNELS:
-            return env
-        warnings.warn(f"ignoring unknown {ENV_KERNEL}={env!r}",
-                      RuntimeWarning)
-    return "vectorized"
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Normalise an ``mc_kernel`` argument: None -> the default."""
-    if kernel is None:
-        return default_kernel()
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown mc kernel {kernel!r}; "
-                         f"choose from {KERNELS}")
-    return kernel
-
-
-# ---------------------------------------------------------------------
 # Rao-Blackwellised late accounting, array form
 # ---------------------------------------------------------------------
 def expected_excess_array(lam: npt.ArrayLike,
                           m: npt.ArrayLike) -> FloatArray:
     """E[(X - m)^+] for X ~ Poisson(lam), elementwise over arrays.
 
-    The array form of :func:`repro.model.dmp_model.expected_excess`,
-    using the same identity ``E[(X-m)^+] = lam*P(X>=m) - m*P(X>=m+1)``
-    with ``P(X >= n) = gammainc(n, lam)``.
+    Uses ``P(X >= n) = gammainc(n, lam)`` (regularised lower incomplete
+    gamma), giving ``E[(X-m)^+] = lam*P(X>=m) - m*P(X>=m+1)``.  Lanes
+    with ``lam <= 0`` contribute zero.
     """
     lam_b, m_b = np.broadcast_arrays(np.asarray(lam, dtype=float),
                                      np.asarray(m))
@@ -283,8 +233,10 @@ def stationary_replica_count(horizon_s: float, burn_in_s: float,
     replica pays its own burn-in and a short window inflates the
     warm-start bias, so the count is capped so that each replica still
     measures at least ``max(WINDOW_TAUS * tau, WINDOW_MIN_S)`` model
-    seconds — and the count never drops below the legacy batch count,
-    so the standard error never rests on fewer independent samples.
+    seconds — and the count never drops below the requested batch
+    count (nor below two, the fewest an across-replica standard error
+    can rest on), so the standard error never rests on fewer
+    independent samples.
     """
     measured = horizon_s - burn_in_s
     window = max(WINDOW_TAUS * tau, WINDOW_MIN_S)
@@ -292,7 +244,7 @@ def stationary_replica_count(horizon_s: float, burn_in_s: float,
     replicas = max(batches, min(MAX_REPLICAS, by_time))
     # Round down to a multiple of the batch count (keeps any grouped
     # post-processing exact) without dropping below it.
-    return max(batches, (replicas // batches) * batches)
+    return max(2, batches, (replicas // batches) * batches)
 
 
 def stationary_late_fraction(
@@ -305,15 +257,15 @@ def stationary_late_fraction(
     the replica and drawn-RNG-block counts; the ``mc.blocks`` counter
     accumulates blocks across solves.
 
-    Semantics match ``DmpModel.late_fraction_mc(mc_kernel="legacy")``:
-    the total *measured* model time is ``horizon_s - burn_in_s``,
-    Rao-Blackwellised late accounting, buffer frozen at ``nmax``.  The
-    measured time is split over ``replicas`` lockstep replicas; each
-    replica is one (independent) batch, so the standard error is the
-    across-replica standard error of the mean.
+    Semantics: the total *measured* model time is ``horizon_s -
+    burn_in_s``, late packets are accounted Rao-Blackwellised, and the
+    flows freeze while the buffer sits at ``nmax``.  The measured time
+    is split over ``replicas`` lockstep replicas; each replica is one
+    (independent) batch, so the standard error is the across-replica
+    standard error of the mean.
 
     Burn-in is per replica: flow states start from the per-chain
-    stationary marginals (a warm start the legacy cold start has to
+    stationary marginals (a warm start a cold start would have to
     earn by burning in for much longer), the buffer starts full, and
     each replica then discards ``max(BURN_IN_TAUS * tau,
     BURN_IN_FRACTION * window)`` model seconds before measuring.
@@ -321,9 +273,9 @@ def stationary_late_fraction(
     Every vector step ends with exactly one flow transition per
     replica: a replica whose buffer sits frozen at ``nmax`` first takes
     its single unfreezing consumption (``Exp(1/mu)``) as a *prefix* of
-    the same step — distributionally identical to the legacy loop's
-    separate frozen iterations, but without spending a whole vector
-    step on one consumption event.
+    the same step — distributionally identical to a separate frozen
+    iteration, but without spending a whole vector step on one
+    consumption event.
     """
     tel = telemetry.current()
     with tel.span("mc.run", label="stationary", seed=seed,
@@ -446,7 +398,7 @@ def _stationary_impl(
         # Aggregated (Rao-Blackwellised) consumption over the segment;
         # only segments starting inside the measurement window count,
         # and segments whose Poisson tail cannot reach the deficit
-        # boundary are skipped exactly as in the legacy loop.  The
+        # boundary are skipped (their expected excess is ~0).  The
         # whole block sits behind a scalar screen: lam + 8*sqrt(lam)
         # + 20 <= 2*lam + 36, so when even that bound at the largest
         # lam stays below the smallest deficit boundary, no lane can
@@ -497,8 +449,7 @@ def _stationary_impl(
         else tuple(0.0 for _ in range(k))
     return LateFractionEstimate(
         late_fraction=mean, stderr=stderr, horizon_s=horizon_s,
-        method="mc", path_shares=share_tuple,
-        kernel="vectorized"), replicas, blocks
+        method="mc", path_shares=share_tuple), replicas, blocks
 
 
 # ---------------------------------------------------------------------
@@ -509,8 +460,8 @@ def transient_late_fraction(
         seed: int) -> "LateFractionEstimate":
     """Vectorized finite-video late fraction.
 
-    The replications are the vector axis; the event semantics are the
-    legacy loop's exactly: the live cap ``mu*(min(t, video) - max(0,
+    The replications are the vector axis, with event-by-event
+    semantics: the live cap ``mu*(min(t, video) - max(0,
     t - tau))`` is evaluated at the segment start, consumption events
     are explicit (rate ``mu`` while ``tau <= t < horizon``), and a
     replica frozen before playback steps deterministically by one
@@ -596,16 +547,10 @@ def _transient_impl(
         if R > 1 else float("nan")
     return LateFractionEstimate(
         late_fraction=mean, stderr=stderr, horizon_s=video_s,
-        method="transient-mc",
-        kernel="vectorized"), draws.refills
+        method="transient-mc"), draws.refills
 
 
 __all__: List[str] = [
-    "KERNELS",
-    "ENV_KERNEL",
-    "configure",
-    "default_kernel",
-    "resolve_kernel",
     "expected_excess_array",
     "CompiledModel",
     "compiled_model",

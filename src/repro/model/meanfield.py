@@ -73,7 +73,7 @@ RED_MAX_P = 0.1
 
 
 def resolve_backend(backend: str) -> str:
-    """Validate a backend name (mirrors ``mc_kernel.resolve_kernel``)."""
+    """Validate a backend name."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; "
                          f"choose from {list(BACKENDS)}")

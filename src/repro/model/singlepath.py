@@ -28,9 +28,7 @@ def static_late_fraction(flows: Sequence[FlowLike], mu: float,
                          tau: float,
                          weights: Optional[Sequence[float]] = None,
                          horizon_s: float = 20000.0,
-                         seed: int = 0,
-                         mc_kernel: Optional[str] = None) \
-        -> LateFractionEstimate:
+                         seed: int = 0) -> LateFractionEstimate:
     """Late fraction of the static allocation scheme (Section 7.4).
 
     Path k carries a fixed share ``weights[k]`` of the packets, i.e. an
@@ -50,16 +48,12 @@ def static_late_fraction(flows: Sequence[FlowLike], mu: float,
 
     late = 0.0
     var = 0.0
-    kernel = "legacy"
     for flow, weight in zip(flows, norm):
         model = SinglePathModel(flow, mu=weight * mu, tau=tau)
         estimate = model.late_fraction_mc(horizon_s=horizon_s,
-                                          seed=seed,
-                                          mc_kernel=mc_kernel)
-        kernel = estimate.kernel
+                                          seed=seed)
         late += weight * estimate.late_fraction
         var += (weight * estimate.stderr) ** 2
     return LateFractionEstimate(
         late_fraction=late, stderr=var ** 0.5, horizon_s=horizon_s,
-        method="static-mc", path_shares=tuple(norm),
-        kernel=kernel)
+        method="static-mc", path_shares=tuple(norm))

@@ -1,15 +1,18 @@
-"""Tests for the coupled DMP model: MC and exact solvers."""
+"""Tests for the coupled DMP model: MC and exact solvers.
+
+The rest of the Monte-Carlo-vs-exact agreement grid lives in
+``tests/test_model_mc_kernel.py``.
+"""
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.model.dmp_model import (
-    DmpModel,
-    LateFractionEstimate,
-    expected_excess,
-)
+from repro.model.dmp_model import DmpModel, LateFractionEstimate
+from repro.model.mc_kernel import expected_excess_array
 from repro.model.tcp_chain import FlowParams
+from tests import exact_oracle
 
 SMALL = FlowParams(p=0.05, rtt=0.2, to_ratio=2.0, wmax=4)
 TYPICAL = FlowParams(p=0.02, rtt=0.15, to_ratio=2.0)
@@ -20,21 +23,17 @@ def poisson_pmf(lam, j):
 
 
 def test_expected_excess_against_direct_sum():
-    for lam in (0.5, 3.0, 12.0):
-        for m in (0, 1, 5, 20):
-            direct = sum((j - m) * poisson_pmf(lam, j)
-                         for j in range(m + 1, 200))
-            assert expected_excess(lam, m) == pytest.approx(
-                direct, abs=1e-9)
+    lams, ms = np.meshgrid([0.5, 3.0, 12.0], [0, 1, 5, 20])
+    got = expected_excess_array(lams, ms)
+    for value, lam, m in zip(got.ravel(), lams.ravel(), ms.ravel()):
+        direct = sum((j - m) * poisson_pmf(lam, j)
+                     for j in range(m + 1, 200))
+        assert value == pytest.approx(direct, abs=1e-9)
 
 
 def test_expected_excess_edge_cases():
-    assert expected_excess(0.0, 5) == 0.0
-    assert expected_excess(2.5, 0) == 2.5
-    with pytest.raises(ValueError):
-        expected_excess(-1.0, 0)
-    with pytest.raises(ValueError):
-        expected_excess(1.0, -1)
+    got = expected_excess_array([0.0, 2.5, 0.0, -1.0], [5, 0, 0, 3])
+    assert got.tolist() == [0.0, 2.5, 0.0, 0.0]
 
 
 def test_model_validation():
@@ -59,21 +58,15 @@ def test_aggregate_throughput_sums_paths():
 
 
 def test_mc_matches_exact_on_small_chain():
-    model = DmpModel([SMALL, SMALL], mu=18, tau=1.0)
-    exact = model.late_fraction_exact(n_floor=-120)
-    estimates = [model.late_fraction_mc(horizon_s=20000, seed=s)
-                 for s in (1, 2, 3)]
-    mean = sum(e.late_fraction for e in estimates) / 3
-    assert mean == pytest.approx(exact, rel=0.08)
+    exact_oracle.assert_matches_exact(
+        (exact_oracle.SMALL, exact_oracle.SMALL), mu=12.0, tau=1.0)
 
 
 def test_mc_matches_exact_low_late_regime():
-    # Over-provisioned: sigma_a/mu well above 1, small nmax.
-    model = DmpModel([SMALL, SMALL], mu=10, tau=2.0)
-    exact = model.late_fraction_exact(n_floor=-60)
-    estimate = model.late_fraction_mc(horizon_s=40000, seed=7)
-    assert estimate.late_fraction == pytest.approx(
-        exact, rel=0.25, abs=1e-5)
+    # Over-provisioned: sigma_a/mu well above 1, small nmax; the exact
+    # late fraction is near 3.5e-3.
+    exact_oracle.assert_matches_exact(
+        (exact_oracle.SMALL, exact_oracle.SMALL), mu=10.0, tau=2.0)
 
 
 def test_exact_guard_on_state_space():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.model.dmp_model import DmpModel
+from repro.model.mc_kernel import compiled_model
 from repro.model.tcp_chain import FlowParams
 
 SMALL = FlowParams(p=0.05, rtt=0.2, to_ratio=2.0, wmax=3)
@@ -51,14 +52,14 @@ def test_mc_burn_in_discards_transient():
 
 def test_compile_tables_shapes():
     model = DmpModel([SMALL, SMALL], mu=10.0, tau=1.0)
-    tables = model._compile_tables()
-    assert len(tables) == 2
-    rates, per_state = tables[0]
-    assert len(per_state) == len(model.chains[0])
-    for cum, nxt, svals in per_state:
-        assert cum[-1] == pytest.approx(1.0)
-        assert np.all(np.diff(cum) >= 0)
-        assert len(cum) == len(nxt) == len(svals)
+    tables = compiled_model(model)
+    assert tables.k == 2
+    states = sum(len(chain) for chain in model.chains)
+    assert tables.rate.shape == (states,)
+    assert tables.cum.shape == tables.nxt.shape == tables.sval.shape \
+        == (states, tables.width)
+    assert np.all(tables.cum[:, -1] == 1.0)
+    assert np.all(np.diff(tables.cum, axis=1) >= 0)
 
 
 def test_sparse_loss_model_changes_throughput_not_interface():

@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse import csc_matrix
 
 from repro.model.tcp_chain import solve_stationary
+from tests import exact_oracle
 
 
 def generator_from_dense(q):
@@ -74,14 +75,11 @@ def test_solver_normalises():
 
 
 def test_mc_against_mm1k_analogy():
-    """The coupled model with a deterministic 'flow' reduces to a
-    queue; check MC against the exact joint solve on the same model."""
-    from repro.model.dmp_model import DmpModel
-    from repro.model.tcp_chain import FlowParams
+    """The coupled model with a two-window flow reduces to a queue;
+    check MC against the exact joint solve on the same model.
 
-    flow = FlowParams(p=0.2, rtt=0.5, to_ratio=1.0, wmax=2)
-    model = DmpModel([flow], mu=4.0, tau=2.0)
-    exact = model.late_fraction_exact(n_floor=-60)
-    mc = model.late_fraction_mc(horizon_s=60000, seed=3)
-    assert mc.late_fraction == pytest.approx(exact, rel=0.15,
-                                             abs=1e-4)
+    sigma/mu = 1.5: below 1 the deficit drifts without bound and only
+    the exact solver's reflecting floor makes it stationary.
+    """
+    exact_oracle.assert_matches_exact((exact_oracle.TINY,), mu=1.5,
+                                      tau=2.0)

@@ -2,9 +2,8 @@
 
 The gating rules under test:
 
-* the matched-grid speedup geomean gates across machines and modes
-  (it is scale-free), with a spread-widened tolerance;
 * absolute metrics gate only when machine fingerprint AND mode match;
+* within-report ratios gate on any machine;
 * sub-10ms chain-build timings never gate;
 * exit codes: 0 ok, 1 regression, 2 bad input.
 """
@@ -24,17 +23,12 @@ from tools.perf_track import (
     format_report,
     load_report,
     resolve_baseline,
-    speedup_points,
 )
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _report(mode="full", cpu="TestCPU", speedups=None, eps=245000.0):
-    speedups = speedups if speedups is not None else {
-        (1.2, 4.0): 6.0, (1.2, 10.0): 5.5,
-        (1.6, 4.0): 6.5, (1.6, 10.0): 6.2,
-    }
+def _report(mode="full", cpu="TestCPU", eps=245000.0, mc_seconds=2.9):
     return {
         "created_utc": "2026-08-06T00:00:00+00:00",
         "mode": mode,
@@ -42,9 +36,12 @@ def _report(mode="full", cpu="TestCPU", speedups=None, eps=245000.0):
                     "python": "3.11.7", "numpy": "2.4.6"},
         "benchmarks": {
             "mc_kernel": {
-                "points": [{"ratio": r, "tau": t, "speedup": s}
-                           for (r, t), s in sorted(speedups.items())],
-                "total_seconds": {"legacy": 17.0, "vectorized": 2.9},
+                "points": [{"ratio": r, "tau": t,
+                            "vectorized": {"seconds": mc_seconds / 4,
+                                           "late_fraction": 0.01,
+                                           "stderr": 0.001}}
+                           for r in (1.2, 1.6) for t in (4.0, 10.0)],
+                "total_seconds": {"vectorized": mc_seconds},
             },
             "packet_sim": {"events_per_second": eps},
             "chain_build": {"compile_seconds": 0.004,
@@ -53,10 +50,12 @@ def _report(mode="full", cpu="TestCPU", speedups=None, eps=245000.0):
     }
 
 
-def _scaled(doc, factor):
+def _slowed(doc, factor):
+    """``doc`` with every gated absolute rate/time ``factor`` x worse."""
     out = copy.deepcopy(doc)
-    for point in out["benchmarks"]["mc_kernel"]["points"]:
-        point["speedup"] *= factor
+    out["benchmarks"]["packet_sim"]["events_per_second"] /= factor
+    out["benchmarks"]["mc_kernel"]["total_seconds"]["vectorized"] *= \
+        factor
     return out
 
 
@@ -72,29 +71,9 @@ def _write(tmp_path, name, doc):
 def test_identical_reports_pass():
     comp = compare(_report(), _report())
     assert comp.ok and comp.same_machine
-    assert comp.matched_points == 4
-    geo = next(r for r in comp.results
-               if r.name == "mc_kernel.speedup_geomean")
-    assert geo.ratio == 1.0 and geo.gated and not geo.regressed
-
-
-def test_quarter_speedups_regress_even_across_machines():
-    new = _scaled(_report(mode="quick", cpu="OtherCPU"), 0.25)
-    comp = compare(new, _report())
-    assert not comp.same_machine
-    geo = next(r for r in comp.results
-               if r.name == "mc_kernel.speedup_geomean")
-    assert geo.regressed
-    assert [r.name for r in comp.regressions] \
-        == ["mc_kernel.speedup_geomean"]
-
-
-def test_matched_points_are_the_grid_intersection():
-    base = _report()
-    quick = _report(speedups={(1.2, 4.0): 6.0, (9.9, 9.9): 4.0})
-    comp = compare(quick, base)
-    assert comp.matched_points == 1  # (9.9, 9.9) has no baseline twin
-    assert speedup_points(quick) != speedup_points(base)
+    mc = next(r for r in comp.results
+              if r.name == "mc_kernel.vectorized_seconds")
+    assert mc.ratio == 1.0 and mc.gated and not mc.regressed
 
 
 def test_absolute_metric_gates_only_same_machine_and_mode():
@@ -117,6 +96,12 @@ def test_absolute_metric_gates_only_same_machine_and_mode():
                if r.name == "packet_sim.events_per_second")
     assert not eps.gated  # different mode: not comparable
 
+    slow_mc = _report(mc_seconds=2.9 * 4)
+    comp = compare(slow_mc, _report())
+    mc = next(r for r in comp.results
+              if r.name == "mc_kernel.vectorized_seconds")
+    assert mc.gated and mc.regressed and mc.ratio == 0.25
+
 
 def test_tiny_chain_build_timings_never_gate():
     doc = _report()
@@ -130,16 +115,9 @@ def test_tiny_chain_build_timings_never_gate():
 
 
 def test_noise_inside_tolerance_passes():
-    wobble = {(1.2, 4.0): 0.9, (1.2, 10.0): 1.1,
-              (1.6, 4.0): 0.85, (1.6, 10.0): 1.05}
-    base = _report()
-    new = copy.deepcopy(base)
-    for point in new["benchmarks"]["mc_kernel"]["points"]:
-        point["speedup"] *= wobble[(point["ratio"], point["tau"])]
-    comp = compare(new, base)
-    geo = next(r for r in comp.results
-               if r.name == "mc_kernel.speedup_geomean")
-    assert not geo.regressed  # geomean ~0.97, well inside 0.65 gate
+    comp = compare(_slowed(_report(), 1.3), _report())
+    gated = [r for r in comp.results if r.gated]
+    assert gated and comp.ok  # 1/1.3 ~ 0.77, inside the 0.65 gate
 
 
 def _with_meanfield(doc, n10=0.2, n1e6=0.25, grid_speedup=5000.0):
@@ -286,9 +264,10 @@ def test_fingerprint_uses_the_stable_keys():
 
 
 def test_format_report_renders_every_metric():
-    comp = compare(_scaled(_report(), 0.2), _report())
+    comp = compare(_slowed(_report(), 5.0), _report())
     text = format_report(comp)
-    assert "REGRESSION" in text and "mc_kernel.speedup_geomean" in text
+    assert "REGRESSION" in text \
+        and "mc_kernel.vectorized_seconds" in text
     assert "gate at" in text
 
 
@@ -300,14 +279,14 @@ def test_append_history_writes_one_json_line_per_run(tmp_path):
     doc = _report()
     comp = compare(doc, doc)
     append_history(history, doc, comp, source="a.json")
-    append_history(history, _scaled(doc, 0.25),
-                   compare(_scaled(doc, 0.25), doc), source="b.json")
+    append_history(history, _slowed(doc, 4.0),
+                   compare(_slowed(doc, 4.0), doc), source="b.json")
     lines = [json.loads(line)
              for line in open(history, encoding="utf-8")]
     assert [line["verdict"] for line in lines] == ["ok", "regression"]
     assert lines[0]["source"] == "a.json"
     assert lines[0]["created_utc"] == doc["created_utc"]
-    assert lines[0]["matched_points"] == 4
+    assert lines[0]["metrics"]["mc_kernel.vectorized_seconds"] == 2.9
 
 
 # ---------------------------------------------------------------------
@@ -322,17 +301,16 @@ def _run_cli(args, cwd):
 
 
 def test_cli_pass_and_regression_exit_codes(tmp_path):
-    base = _write(tmp_path, "base.json", _report())
-    good = _write(tmp_path, "good.json",
-                  _report(mode="quick", cpu="CI"))
+    base = _write(tmp_path, "base.json", _report(mode="quick"))
+    good = _write(tmp_path, "good.json", _report(mode="quick"))
     bad = _write(tmp_path, "bad.json",
-                 _scaled(_report(mode="quick", cpu="CI"), 0.25))
+                 _slowed(_report(mode="quick"), 4.0))
     history = str(tmp_path / "hist.jsonl")
 
     proc = _run_cli([good, "--baseline", base, "--history", history],
                     cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert "matched grid points" in proc.stdout
+    assert "same machine" in proc.stdout
 
     proc = _run_cli([bad, "--baseline", base, "--history", history],
                     cwd=str(tmp_path))
@@ -361,4 +339,7 @@ def test_committed_baselines_compare_cleanly_against_themselves():
         doc = load_report(os.path.join(REPO, name))
         comp = compare(doc, doc)
         assert comp.ok and comp.same_machine, name
-        assert comp.matched_points == len(speedup_points(doc)), name
+        mc = doc["benchmarks"]["mc_kernel"]
+        assert set(mc["total_seconds"]) == {"vectorized"}, name
+        for point in mc["points"]:
+            assert set(point) == {"ratio", "tau", "vectorized"}, name

@@ -31,6 +31,7 @@ STRICT_PATHS = ["src/repro/sim", "src/repro/obs",
                 "src/repro/experiments/configs.py",
                 "src/repro/experiments/parallel.py",
                 "src/repro/experiments/optional_deps.py",
+                "src/repro/experiments/sweep.py",
                 "src/repro/model/singlepath.py",
                 "src/repro/model/fluid.py",
                 "src/repro/model/meanfield.py",

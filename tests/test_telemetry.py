@@ -46,8 +46,7 @@ def _flow() -> FlowParams:
 
 def _task(seed: int = 3) -> ModelTask:
     return ModelTask(flows=(_flow(), _flow()), mu=20.0, tau=4.0,
-                     horizon_s=500.0, seed=seed,
-                     mc_kernel="vectorized")
+                     horizon_s=500.0, seed=seed)
 
 
 def _traced_triple(x):
@@ -248,7 +247,7 @@ def test_cache_counters_hit_miss_write_and_corrupt(tmp_path):
         from repro.model.dmp_model import LateFractionEstimate
         est = LateFractionEstimate(
             late_fraction=0.1, stderr=0.01, horizon_s=500.0,
-            method="mc", path_shares=(0.5, 0.5), kernel="vectorized")
+            method="mc", path_shares=(0.5, 0.5))
         cache.put_model(task, est)                    # write
         assert cache.get_model(task) is not None      # hit
         counters = {c.name: dict(c.values)

@@ -63,7 +63,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     machine = "same machine" if comp.same_machine \
         else "different machine"
     print(f"perf_track: {args.report} vs {args.baseline} "
-          f"({machine}, {comp.matched_points} matched grid points)")
+          f"({machine})")
     print(format_report(comp))
     if not args.no_history:
         append_history(args.history, new_doc, comp,
