@@ -30,7 +30,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
 from repro.core.assembly import SessionAssembly
 from repro.core.metrics import late_fraction, quantile
 from repro.obs.bus import EventBus
-from repro.obs.health import HealthAggregator, LogHistogram, hist_of
+from repro.obs.health import HealthAggregator, hist_of
 from repro.obs.recorder import FlightRecorder, Trigger
 from repro.obs.sinks import CountersSink, JsonlSink
 from repro.sim.engine import Simulator
@@ -87,19 +87,16 @@ class CampaignResult:
         """Per-session late fractions at ``tau``, in session order."""
         return [s.late_fraction(tau) for s in self.sessions]
 
-    def late_hist(self, tau: float) -> LogHistogram:
-        """Mergeable histogram of per-session late fractions."""
-        return hist_of(self.late_fractions(tau))
-
     def population(self, tau: float,
                    exact: Optional[bool] = None) -> Dict[str, float]:
         """Distribution summary of per-session late fractions.
 
         Below :data:`HISTOGRAM_THRESHOLD` sessions the percentiles
         come from the exact list-based :func:`~repro.core.metrics.
-        quantile`; from there up they come from :meth:`late_hist`, the
-        same log histogram campaign rollups merge across workers (so a
-        single big run and a merged multi-worker run agree exactly).
+        quantile`; from there up they come from a
+        :class:`~repro.obs.health.LogHistogram`, the one
+        :func:`repro.experiments.campaign.run_campaign` merges across
+        replications (so one big run and a merged one agree exactly).
         Pass ``exact`` to force either path.
         """
         fractions = self.late_fractions(tau)

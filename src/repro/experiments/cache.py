@@ -13,6 +13,19 @@ The directory defaults to ``~/.cache/repro`` and is overridable with
 the ``REPRO_CACHE_DIR`` environment variable or an explicit
 ``directory`` argument.
 
+Records store what a run measured, never a number derived at one
+startup delay: packet ``i`` is late when it arrives after
+``tau + i/mu`` (Section 2), so one run's arrivals answer every tau.
+A packet-run record holds ``flow_stats`` plus, per session (one for a
+single-session run), ``{"total_packets": n, "arrivals": [[number, t],
+...]}`` with ``t`` on the session's video clock; campaign records add
+``health.rollup`` and instrumented runs ``counters``.  A mean-field
+record holds the per-session ``goodput_pps`` trace plus two scalars.
+:func:`run_late_fractions` and :func:`meanfield_late_fraction` answer
+any tau on read, bit-identical to the live result (JSON floats
+round-trip exactly).  Model records keep tau in their key:
+``Nmax = mu*tau`` is a model parameter.
+
 Invalidation: every key embeds :data:`CODE_VERSION`.  Bump it whenever
 a change alters simulation or model output for the same inputs
 (topology construction, RNG consumption order, TCP behaviour, metric
@@ -20,23 +33,27 @@ definitions...).  Stale records are then never read again; they can be
 garbage-collected by deleting the cache directory.
 
 Robustness: a record that cannot be read or parsed (truncated write,
-concurrent writer, disk corruption) is treated as a miss, never an
-error.  Writes go through a temporary file and an atomic rename so a
-crashed writer cannot leave a half-record behind.
+concurrent writer, disk corruption) or that is malformed is treated as
+a miss, never an error and never a wrong number.  Writes go through a
+temporary file and an atomic rename so a crashed writer cannot leave a
+half-record behind.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict
-from typing import (TYPE_CHECKING, Any, Dict, Optional, Sequence,
-                    Union)
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from repro import telemetry
+from repro.core.metrics import arrival_order_late_fraction, late_fraction
 from repro.model.dmp_model import LateFractionEstimate
+from repro.model.fluid import late_fraction_from_trace
 from repro.model.meanfield import MeanFieldSpec
 from repro.verify.spec import VerifySpec
 
@@ -73,7 +90,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: its selector are gone, so model keys drop the ``mc_kernel`` tag and
 #: model records the ``kernel`` field; estimates are bit-identical to
 #: v9 vectorized records.
-CODE_VERSION = 10
+#: v11: tau is a query — run records store per-session arrivals and
+#: mean-field records the goodput trace instead of per-tau values, and
+#: nothing merges; the health rollup's late test became the metrics one.
+CODE_VERSION = 11
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE = "REPRO_CACHE"
@@ -87,9 +107,62 @@ def default_directory() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
-def tau_key(tau: float) -> str:
-    """Canonical JSON-object key for a startup delay."""
-    return repr(float(tau))
+def session_record(total_packets: int,
+                   arrivals: Sequence[Tuple[int, float]]) \
+        -> Dict[str, Any]:
+    """One session's entry in a packet-run record: its packet count and
+    ``(number, t)`` arrivals, ``t`` on the session's video clock."""
+    return {"total_packets": total_packets, "arrivals": list(arrivals)}
+
+
+def run_late_fractions(record: Mapping[str, Any], mu: float,
+                       tau: float) -> List[Tuple[float, float]]:
+    """Per-session (playback-order, arrival-order) late fractions of a
+    packet-run record at startup delay ``tau``, in session order.
+
+    The one reader of stored arrivals: the same
+    :func:`~repro.core.metrics.late_fraction` (missing packets late)
+    and :func:`~repro.core.metrics.arrival_order_late_fraction` calls
+    :meth:`repro.core.session.SessionResult.metrics` makes on the live
+    result.
+    """
+    return [(late_fraction(session["arrivals"], mu, tau,
+                           total_packets=session["total_packets"]),
+             arrival_order_late_fraction(session["arrivals"], mu, tau))
+            for session in record["sessions"]]
+
+
+def meanfield_late_fraction(record: Mapping[str, Any],
+                            spec: MeanFieldSpec, tau: float) -> float:
+    """Late fraction at ``tau`` of a mean-field record, exactly as
+    :meth:`repro.model.meanfield.MeanFieldSolution.late_fraction`
+    computes it from the live solution."""
+    return late_fraction_from_trace(
+        record["goodput_pps"], spec.mu, tau, spec.dt,
+        video_duration_s=spec.duration_s)
+
+
+def _valid_sessions(sessions: Any, expected: int) -> bool:
+    """Whether ``sessions`` holds ``expected`` well-formed per-session
+    arrival records: distinct packet numbers in ``[0, total)`` (hence
+    never more arrivals than packets) with finite times."""
+    if not isinstance(sessions, list) or len(sessions) != expected:
+        return False
+    for session in sessions:
+        if not isinstance(session, dict):
+            return False
+        total = session.get("total_packets")
+        arrivals = session.get("arrivals")
+        if type(total) is not int or not isinstance(arrivals, list):
+            return False
+        if not all(isinstance(entry, list) and len(entry) == 2
+                   and type(entry[0]) is int and 0 <= entry[0] < total
+                   and isinstance(entry[1], float)
+                   and math.isfinite(entry[1])
+                   for entry in arrivals) \
+                or len({entry[0] for entry in arrivals}) != len(arrivals):
+            return False
+    return True
 
 
 def _digest(payload: Dict[str, Any]) -> str:
@@ -242,81 +315,32 @@ class ResultCache:
     def get_run(self, spec: "RunSpec") -> Optional[Dict[str, Any]]:
         """Cached record for one replication, or None.
 
-        A record is only a hit when it covers *every* startup delay the
-        spec asks for (records accumulate taus across invocations) and,
-        when the spec requests probe counters, actually carries them —
-        counter-less records written by plain runs stay usable for
-        plain requests but force a re-run for instrumented ones.
+        A record is a hit only when its arrivals are well formed for
+        every session of the setting, a campaign record carries its
+        health rollup, and — when the spec requests probe counters —
+        the counters are present: counter-less records written by
+        plain runs stay usable for plain requests but force a re-run
+        for instrumented ones.
         """
-        record = self._read(self.run_key(spec), "run")
-        if record is None or "flow_stats" not in record \
-                or not isinstance(record.get("taus"), dict):
+        record = self._read(self.run_key(spec), "run") or {}
+        health = record.get("health")
+        if not isinstance(record.get("flow_stats"), list) \
+                or not _valid_sessions(record.get("sessions"),
+                                       spec.setting.n_sessions) \
+                or (spec.counters
+                    and not isinstance(record.get("counters"), dict)) \
+                or (spec.setting.n_sessions > 1 and not (
+                    isinstance(health, dict)
+                    and isinstance(health.get("rollup"), dict))):
             self._miss("run")
             return None
-        if any(tau_key(tau) not in record["taus"] for tau in spec.taus):
-            self._miss("run")
-            return None
-        if getattr(spec, "counters", False) \
-                and not isinstance(record.get("counters"), dict):
-            self._miss("run")
-            return None
-        # Campaign records (n_sessions > 1) additionally carry the
-        # per-session late-fraction lists; require the same tau
-        # coverage there so population quantiles never silently fall
-        # back to a partial record.
-        if spec.setting.n_sessions > 1:
-            sessions = record.get("sessions")
-            if not isinstance(sessions, dict) or any(
-                    tau_key(tau) not in sessions for tau in spec.taus):
-                self._miss("run")
-                return None
-            # ... and the QoE health rollup with per-tau late-fraction
-            # histograms covering the same taus (repro.obs.health).
-            health = record.get("health")
-            late_hists = health.get("late_hists") \
-                if isinstance(health, dict) else None
-            if not isinstance(late_hists, dict) or any(
-                    tau_key(tau) not in late_hists
-                    for tau in spec.taus):
-                self._miss("run")
-                return None
         self._hit("run")
         return record
 
     def put_run(self, spec: "RunSpec",
                 record: Dict[str, Any]) -> None:
-        """Store a replication record, merging taus (and any counters)
-        with a prior record under the same key."""
-        key = self.run_key(spec)
-        previous = self._read(key, "run")
-        if previous is not None and isinstance(previous.get("taus"),
-                                               dict):
-            merged = dict(previous["taus"])
-            merged.update(record["taus"])
-            record = dict(record, taus=merged)
-            if "counters" not in record \
-                    and isinstance(previous.get("counters"), dict):
-                record["counters"] = previous["counters"]
-            # Campaign per-session lists accumulate across invocations
-            # exactly like taus.
-            if isinstance(previous.get("sessions"), dict):
-                sessions = dict(previous["sessions"])
-                sessions.update(record.get("sessions", {}))
-                record["sessions"] = sessions
-            # Health rollups: the rollup itself is tau-independent
-            # (latest wins, it describes the same deterministic run)
-            # while the per-tau late histograms accumulate like taus.
-            previous_health = previous.get("health")
-            if isinstance(previous_health, dict):
-                health = dict(previous_health)
-                fresh = record.get("health")
-                if isinstance(fresh, dict):
-                    late_hists = dict(
-                        previous_health.get("late_hists", {}))
-                    late_hists.update(fresh.get("late_hists", {}))
-                    health = dict(fresh, late_hists=late_hists)
-                record["health"] = health
-        self._write(key, record, "run")
+        """Store a replication record (a plain write)."""
+        self._write(self.run_key(spec), record, "run")
 
     # -- model records -------------------------------------------------
     def get_model(self, task: "ModelTask") \
@@ -349,20 +373,17 @@ class ResultCache:
         }, "model")
 
     # -- mean-field records --------------------------------------------
-    def get_meanfield(self, spec: MeanFieldSpec,
-                      taus: Sequence[float] = ()) \
+    def get_meanfield(self, spec: MeanFieldSpec) \
             -> Optional[Dict[str, Any]]:
-        """Cached mean-field record covering ``taus``, or None.
-
-        Like run records, mean-field records accumulate per-tau late
-        fractions across invocations; a record is only a hit when it
-        carries every requested tau.
-        """
-        record = self._read(self.meanfield_key(spec), "meanfield")
-        if record is None or not isinstance(record.get("taus"), dict):
-            self._miss("meanfield")
-            return None
-        if any(tau_key(tau) not in record["taus"] for tau in taus):
+        """Cached mean-field record, or None when absent or malformed."""
+        record = self._read(self.meanfield_key(spec), "meanfield") or {}
+        trace = record.get("goodput_pps")
+        if not isinstance(trace, list) or not trace \
+                or not all(isinstance(v, float) and 0.0 <= v < math.inf
+                           for v in trace) \
+                or not all(isinstance(record.get(name), float)
+                           for name in ("mean_drop_prob",
+                                        "mean_queue_pkts")):
             self._miss("meanfield")
             return None
         self._hit("meanfield")
@@ -370,16 +391,8 @@ class ResultCache:
 
     def put_meanfield(self, spec: MeanFieldSpec,
                       record: Dict[str, Any]) -> None:
-        """Store a mean-field record, merging taus with any prior
-        record under the same key (mirrors :meth:`put_run`)."""
-        key = self.meanfield_key(spec)
-        previous = self._read(key, "meanfield")
-        if previous is not None \
-                and isinstance(previous.get("taus"), dict):
-            merged = dict(previous["taus"])
-            merged.update(record["taus"])
-            record = dict(record, taus=merged)
-        self._write(key, record, "meanfield")
+        """Store a mean-field record (a plain write)."""
+        self._write(self.meanfield_key(spec), record, "meanfield")
 
     # -- verification records ------------------------------------------
     def get_verify(self, spec: VerifySpec, scheme: str = "dmp",
@@ -474,14 +487,7 @@ def configure(enabled: Optional[bool] = True,
     _default["instance"] = None
 
 
-def default_cache() -> Optional[ResultCache]:
-    """The configured default cache instance (None when disabled)."""
-    enabled = _default["enabled"]
-    if enabled is None:
-        enabled = os.environ.get(ENV_CACHE, "0").lower() \
-            not in ("0", "", "false", "no")
-    if not enabled:
-        return None
+def _configured_instance() -> ResultCache:
     instance = _default["instance"]
     if not isinstance(instance, ResultCache):
         instance = ResultCache(_default["directory"])
@@ -489,11 +495,22 @@ def default_cache() -> Optional[ResultCache]:
     return instance
 
 
+def default_cache() -> Optional[ResultCache]:
+    """The configured default cache instance (None when disabled)."""
+    enabled = _default["enabled"]
+    if enabled is None:
+        enabled = os.environ.get(ENV_CACHE, "0").lower() \
+            not in ("0", "", "false", "no")
+    return _configured_instance() if enabled else None
+
+
 def resolve_cache(cache: Union[ResultCache, bool, None]) \
         -> Optional[ResultCache]:
-    """Normalise a ``cache`` argument: None -> default, False -> off."""
+    """Normalise a ``cache`` argument: None -> the default (on only
+    when enabled), True -> the configured cache even when caching is
+    off by default, False -> off."""
     if cache is None:
         return default_cache()
     if isinstance(cache, ResultCache):
         return cache
-    return None  # False (or any non-cache flag) bypasses caching
+    return _configured_instance() if cache is True else None

@@ -26,16 +26,14 @@ from repro import telemetry
 from repro.core.campaign import HISTOGRAM_THRESHOLD
 from repro.core.metrics import quantile
 from repro.core.session import VIDEO_SEGMENT_BYTES
-from repro.obs.health import LogHistogram, merge_rollups
-from repro.experiments.cache import ResultCache, resolve_cache, tau_key
+from repro.obs.health import LogHistogram, hist_of, merge_rollups
+from repro.experiments.cache import (ResultCache, meanfield_late_fraction,
+                                     resolve_cache, run_late_fractions)
 from repro.experiments.configs import Setting
 from repro.experiments.parallel import ReplicationExecutor, RunSpec
-from repro.experiments.runner import (
-    DEFAULT_TAUS,
-    ScaleProfile,
-    _mean_ci95,
-    scale_profile,
-)
+from repro.experiments.runner import (DEFAULT_TAUS, ScaleProfile,
+                                      _mean_ci95, check_taus,
+                                      fetch_records, scale_profile)
 from repro.model.meanfield import (
     MeanFieldSpec,
     resolve_backend,
@@ -128,9 +126,8 @@ def _run_meanfield_campaign(setting: Setting,
     One ODE solve replaces every replication: the solution is exact
     for the limit object, so ``ci95`` is 0 and the population
     distribution is degenerate (every quantile equals the mean).  The
-    result is cached under the full :class:`MeanFieldSpec` key, with
-    per-tau late fractions accumulating across invocations like run
-    records.
+    goodput trace is cached under the full :class:`MeanFieldSpec` key
+    and answers every tau.
     """
     if scheme != "dmp":
         raise ValueError(
@@ -146,16 +143,13 @@ def _run_meanfield_campaign(setting: Setting,
                   profile=profile.name, runs=1,
                   sessions=setting.n_sessions, backend="meanfield"):
         spec = meanfield_spec_for_setting(setting, profile.duration_s)
-        float_taus = [float(tau) for tau in taus]
         resolved = resolve_cache(cache)
-        record = resolved.get_meanfield(spec, float_taus) \
-            if resolved else None
+        record = resolved.get_meanfield(spec) if resolved else None
         if record is None:
             solution = solve_meanfield(spec)
             record = {
                 "backend": "meanfield",
-                "taus": {tau_key(tau): solution.late_fraction(tau)
-                         for tau in float_taus},
+                "goodput_pps": solution.goodput_pps.tolist(),
                 "mean_drop_prob": solution.mean_drop_prob,
                 "mean_queue_pkts": solution.mean_queue_pkts,
             }
@@ -165,13 +159,13 @@ def _run_meanfield_campaign(setting: Setting,
         points = [CampaignPoint(
             tau=tau, mean=value, ci95=0.0, p50=value, p95=value,
             p99=value, worst=value)
-            for tau in float_taus
-            for value in [float(record["taus"][tau_key(tau)])]]
+            for tau in taus
+            for value in [meanfield_late_fraction(record, spec, tau)]]
         return CampaignRun(
             setting=setting, profile=profile, scheme=scheme,
             points=points,
             per_run_sessions={tau: [[pt.mean]]
-                              for tau, pt in zip(float_taus, points)})
+                              for tau, pt in zip(taus, points)})
 
 
 def run_campaign(setting: Setting,
@@ -203,49 +197,36 @@ def run_campaign(setting: Setting,
             f"setting {setting.name!r} has n_sessions="
             f"{setting.n_sessions}; use run_setting for single-session "
             "validation")
+    float_taus = check_taus(taus)
     if profile is None:
         profile = scale_profile()
     if resolve_backend(setting.backend) == "meanfield":
-        return _run_meanfield_campaign(setting, taus, profile, scheme,
-                                       cache)
+        return _run_meanfield_campaign(setting, float_taus, profile,
+                                       scheme, cache)
     if executor is None:
         executor = ReplicationExecutor(max_workers=max_workers)
     tel = telemetry.current()
     with tel.span("campaign", label=setting.name, scheme=scheme,
                   profile=profile.name, runs=profile.runs,
                   sessions=setting.n_sessions):
-        resolved = resolve_cache(cache)
-
-        float_taus = [float(tau) for tau in taus]
         specs = [RunSpec(setting=setting,
                          duration_s=profile.duration_s,
                          scheme=scheme, seed=seed0 + run,
-                         send_buffer_pkts=send_buffer_pkts,
-                         taus=tuple(float_taus))
+                         send_buffer_pkts=send_buffer_pkts)
                  for run in range(profile.runs)]
-        records: List[Optional[dict]] = [
-            resolved.get_run(spec) if resolved else None
-            for spec in specs]
-        missing = [idx for idx, rec in enumerate(records)
-                   if rec is None]
-        fresh = executor.run_replications(
-            [specs[idx] for idx in missing])
-        for idx, record in zip(missing, fresh):
-            records[idx] = record
-            if resolved:
-                resolved.put_run(specs[idx], record)
+        records = fetch_records(specs, resolve_cache(cache), executor)
 
         per_run_sessions: Dict[float, List[List[float]]] = {
-            tau: [list(rec["sessions"][tau_key(tau)])
-                  for rec in records if rec is not None]
+            tau: [[lf for lf, _ in run_late_fractions(rec, setting.mu,
+                                                      tau)]
+                  for rec in records]
             for tau in float_taus}
 
         # Worker-local health rollups merge in submit order (records
         # are already in spec order), so serial and --workers N runs
         # produce byte-identical merged rollups.
         health = merge_rollups(
-            [rec["health"]["rollup"] for rec in records
-             if rec is not None])
+            [rec["health"]["rollup"] for rec in records])
 
         points: List[CampaignPoint] = []
         for tau in float_taus:
@@ -255,17 +236,14 @@ def run_campaign(setting: Setting,
             rep_means = [sum(rep) / len(rep) for rep in replications]
             mean, ci = _mean_ci95(rep_means)
             # Population percentiles: exact below the threshold, from
-            # the merged per-tau log histograms above it — the same
-            # switch as CampaignResult.population, and at large N the
-            # only path that avoids sorting runs x sessions floats.
+            # merged per-replication log histograms above it — the
+            # same switch as CampaignResult.population.
             if len(pooled) < HISTOGRAM_THRESHOLD:
                 p50, p95, p99 = (quantile(pooled, q)
                                  for q in (0.5, 0.95, 0.99))
             else:
                 hist = LogHistogram.merged(
-                    [LogHistogram.from_dict(
-                        rec["health"]["late_hists"][tau_key(tau)])
-                     for rec in records if rec is not None])
+                    [hist_of(rep) for rep in replications])
                 p50, p95, p99 = (hist.quantile(q)
                                  for q in (0.5, 0.95, 0.99))
             points.append(CampaignPoint(

@@ -45,21 +45,18 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
 
 from repro import telemetry
 from repro.core.campaign import MultiSessionCampaign
-from repro.core.metrics import arrival_order_late_fraction
 from repro.core.session import StreamingSession
-from repro.experiments.cache import tau_key
+from repro.experiments.cache import session_record
 from repro.experiments.configs import Setting
-from repro.obs.health import hist_of
 from repro.model.dmp_model import DmpModel, LateFractionEstimate
 from repro.model.tcp_chain import FlowParams
 
 ENV_WORKERS = "REPRO_WORKERS"
 
 #: Reference startup delay of the health rollup stored in campaign
-#: records.  Fixed (never derived from the requested taus) so the
-#: rollup stays a pure function of the cache key and records merged
-#: across invocations agree; per-tau late-fraction histograms ride
-#: along separately under ``health.late_hists``.
+#: records: its stall clock needs a playout start.  Fixed, so the
+#: rollup stays a pure function of the cache key; late fractions at
+#: any other tau come from the stored arrivals.
 HEALTH_REFERENCE_TAU = 6.0
 
 T = TypeVar("T")
@@ -75,12 +72,9 @@ class RunSpec:
     scheme: str
     seed: int
     send_buffer_pkts: int
-    # taus/counters are deliberately NOT part of the cache key: a
-    # record accumulates per-tau results across invocations and
-    # get_run() re-checks that it covers the requested taus (and
-    # carries counters when asked), so differing values never share
-    # results — they share the *record*.
-    taus: Tuple[float, ...]  # repro-lint: disable=RL004 -- merged into the record; coverage re-checked on read
+    # counters is deliberately NOT part of the cache key: get_run()
+    # re-checks that a record carries counters when asked, so a plain
+    # and an instrumented request share one record.
     counters: bool = False  # repro-lint: disable=RL004 -- presence re-checked on read; counter-less records stay usable
 
 
@@ -98,12 +92,11 @@ class ModelTask:
 def simulate_run(spec: RunSpec) -> Dict[str, Any]:
     """Run one replication; returns a JSON-able record.
 
-    The record is exactly what the cache stores: the per-flow stats and
-    the (playback-order, arrival-order) late fractions at each
-    requested startup delay.  A multi-session setting
-    (``n_sessions > 1``) runs one whole campaign per replication and
-    additionally records the per-session late fractions under
-    ``sessions`` so population quantiles can be recomputed from cache.
+    The record is exactly what the cache stores (see
+    :mod:`repro.experiments.cache`): the per-flow stats and the
+    session's arrivals, which answer every startup delay.  A
+    multi-session setting (``n_sessions > 1``) runs one whole campaign
+    per replication and records every session's arrivals.
     """
     if spec.setting.backend != "packet":
         raise ValueError(
@@ -125,13 +118,10 @@ def simulate_run(spec: RunSpec) -> Dict[str, Any]:
             queue_discipline=spec.setting.queue_discipline)
         counters = session.attach_counters() if spec.counters else None
         result = session.run()
-        taus: Dict[str, List[float]] = {}
-        for tau in spec.taus:
-            metrics = result.metrics(tau)
-            taus[tau_key(tau)] = [metrics.late_fraction,
-                                  metrics.arrival_order_late_fraction]
-        record: Dict[str, Any] = {"flow_stats": result.flow_stats,
-                                  "taus": taus}
+        record: Dict[str, Any] = {
+            "flow_stats": result.flow_stats,
+            "sessions": [session_record(result.total_packets,
+                                        result.arrivals)]}
         if counters is not None:
             record["counters"] = counters.as_dict()
         return record
@@ -144,15 +134,13 @@ def _simulate_campaign_run(spec: RunSpec) -> Dict[str, Any]:
     bottleneck and its background load; ``len(setting.configs)`` is the
     per-session path count (every path of every session crosses the one
     bottleneck, so heterogeneous per-path configs have no meaning
-    here).  The record's ``taus`` carry population *means* so existing
-    consumers aggregate unchanged; the per-session distributions ride
-    along under ``sessions``.
+    here).  The record stores every session's arrivals.
 
     Every campaign replication additionally runs with the streaming
     :class:`~repro.obs.health.HealthAggregator` attached and stores its
     ``health`` rollup — per-session QoE rows plus mergeable log
-    histograms, with one late-fraction histogram per requested tau —
-    so :func:`repro.experiments.campaign.run_campaign` can merge
+    histograms at :data:`HEALTH_REFERENCE_TAU` — so
+    :func:`repro.experiments.campaign.run_campaign` can merge
     worker-local rollups in submit order into a population view that
     is bit-identical between serial and ``--workers N`` runs.
     """
@@ -176,26 +164,12 @@ def _simulate_campaign_run(spec: RunSpec) -> Dict[str, Any]:
         counters = campaign.attach_counters() if spec.counters else None
         aggregator = campaign.attach_health(tau=HEALTH_REFERENCE_TAU)
         result = campaign.run()
-        taus: Dict[str, List[float]] = {}
-        sessions: Dict[str, List[float]] = {}
-        late_hists: Dict[str, Dict[str, Any]] = {}
-        for tau in spec.taus:
-            fractions = result.late_fractions(tau)
-            ao_fractions = [
-                arrival_order_late_fraction(s.arrivals, s.mu, tau)
-                for s in result.sessions]
-            n = len(fractions)
-            taus[tau_key(tau)] = [sum(fractions) / n,
-                                  sum(ao_fractions) / n]
-            sessions[tau_key(tau)] = fractions
-            late_hists[tau_key(tau)] = hist_of(fractions).to_dict()
         record: Dict[str, Any] = {
             "flow_stats": [stats for s in result.sessions
                            for stats in s.flow_stats],
-            "taus": taus,
-            "sessions": sessions,
-            "health": {"rollup": aggregator.rollup(),
-                       "late_hists": late_hists},
+            "sessions": [session_record(s.total_packets, s.arrivals)
+                         for s in result.sessions],
+            "health": {"rollup": aggregator.rollup()},
         }
         if counters is not None:
             record["counters"] = counters.as_dict()

@@ -22,16 +22,18 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
-from repro.experiments.cache import resolve_cache, tau_key
+from repro.experiments.cache import (ResultCache, resolve_cache,
+                                     run_late_fractions)
 from repro.experiments.configs import Setting
 from repro.experiments.parallel import (
     ModelTask,
     ReplicationExecutor,
     RunSpec,
 )
+from repro.model.dmp_model import LateFractionEstimate
 from repro.model.tcp_chain import FlowParams
 
 DEFAULT_TAUS = (4.0, 6.0, 8.0, 10.0)
@@ -55,6 +57,14 @@ class ScaleProfile:
     runs: int
     duration_s: float
     model_horizon_s: float
+
+    def __post_init__(self) -> None:
+        # model_horizon_s may be 0: a profile that never solves the model.
+        if self.runs < 1 or not 0.0 < self.duration_s < math.inf \
+                or not 0.0 <= self.model_horizon_s < math.inf:
+            raise ValueError(
+                f"bad scale profile {self!r}: need runs >= 1, finite "
+                "duration_s > 0 and model_horizon_s >= 0")
 
 
 _PROFILES = {
@@ -113,10 +123,10 @@ class ReplicatedRun:
     profile: ScaleProfile
     scheme: str
     flow_params: List[FlowParams]
-    measured: List[dict]
+    measured: List[Dict[str, float]]
     points: List[TauPoint]
     per_run_late: Dict[float, List[float]] = field(default_factory=dict)
-    per_run_counters: List[dict] = field(default_factory=list)
+    per_run_counters: List[Dict[str, Any]] = field(default_factory=list)
 
     def point(self, tau: float) -> TauPoint:
         for pt in self.points:
@@ -162,13 +172,38 @@ def _t_ci95(dof: int) -> float:
     return lo_t + frac * (hi_t - lo_t)
 
 
-def _mean_ci95(values: Sequence[float]) -> tuple:
+def _mean_ci95(values: Sequence[float]) -> Tuple[float, float]:
     n = len(values)
     mean = sum(values) / n
     if n < 2:
         return mean, float("inf")
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, _t_ci95(n - 1) * math.sqrt(var / n)
+
+
+def check_taus(taus: Sequence[float]) -> List[float]:
+    """The startup delays as floats; each must be finite and >= 0."""
+    out = [float(tau) for tau in taus]
+    bad = [tau for tau in out if not 0.0 <= tau < math.inf]
+    if bad:
+        raise ValueError(f"startup delays must be finite and "
+                         f"non-negative, got {bad}")
+    return out
+
+
+def fetch_records(specs: Sequence[RunSpec], cache: Optional[ResultCache],
+                  executor: ReplicationExecutor) -> List[Dict[str, Any]]:
+    """One record per spec, in spec order: cache hits are reused and
+    the misses simulated over ``executor`` and stored."""
+    records: List[Optional[Dict[str, Any]]] = [
+        cache.get_run(spec) if cache else None for spec in specs]
+    missing = [idx for idx, rec in enumerate(records) if rec is None]
+    fresh = executor.run_replications([specs[idx] for idx in missing])
+    for idx, record in zip(missing, fresh):
+        records[idx] = record
+        if cache:
+            cache.put_run(specs[idx], record)
+    return [rec for rec in records if rec is not None]
 
 
 def run_setting(setting: Setting,
@@ -179,7 +214,7 @@ def run_setting(setting: Setting,
                 send_buffer_pkts: int = 16,
                 run_model: bool = True,
                 max_workers: Optional[int] = None,
-                cache=None,
+                cache: Union[ResultCache, bool, None] = None,
                 counters: bool = False,
                 executor: Optional[ReplicationExecutor] = None) \
         -> ReplicatedRun:
@@ -195,8 +230,9 @@ def run_setting(setting: Setting,
     else serial); seeding stays ``seed0 + run`` regardless, so parallel
     results are bit-identical to serial ones.  ``cache`` is a
     :class:`repro.experiments.cache.ResultCache` (``None`` = the
-    configured default, ``False`` = bypass): already-simulated
-    (setting, seed) records are reused instead of re-simulated.
+    configured default, ``True`` = the configured cache even when off
+    by default, ``False`` = bypass): already-simulated (setting, seed)
+    records are reused instead of re-simulated, at any taus.
     """
     if setting.n_sessions > 1:
         raise ValueError(
@@ -211,6 +247,7 @@ def run_setting(setting: Setting,
             f"{setting.backend!r}; run_setting is packet-sim only — "
             "the mean-field backend is a population model, use "
             "repro.experiments.campaign.run_campaign")
+    float_taus = check_taus(taus)
     if profile is None:
         profile = scale_profile()
     if executor is None:
@@ -218,35 +255,27 @@ def run_setting(setting: Setting,
     tel = telemetry.current()
     with tel.span("setting", label=setting.name, scheme=scheme,
                   profile=profile.name, runs=profile.runs,
-                  taus=len(taus)):
-        cache = resolve_cache(cache)
-
-        taus = [float(tau) for tau in taus]
+                  taus=len(float_taus)):
         specs = [RunSpec(setting=setting, duration_s=profile.duration_s,
                          scheme=scheme, seed=seed0 + run,
                          send_buffer_pkts=send_buffer_pkts,
-                         taus=tuple(taus), counters=counters)
+                         counters=counters)
                  for run in range(profile.runs)]
-        records: List[Optional[dict]] = [
-            cache.get_run(spec) if cache else None for spec in specs]
-        missing = [idx for idx, rec in enumerate(records) if rec is None]
-        fresh = executor.run_replications([specs[idx] for idx in missing])
-        for idx, record in zip(missing, fresh):
-            records[idx] = record
-            if cache:
-                cache.put_run(specs[idx], record)
+        resolved = resolve_cache(cache)
+        records = fetch_records(specs, resolved, executor)
 
-        per_tau: Dict[float, List[float]] = {
-            tau: [rec["taus"][tau_key(tau)][0] for rec in records]
-            for tau in taus}
-        per_tau_ao: Dict[float, List[float]] = {
-            tau: [rec["taus"][tau_key(tau)][1] for rec in records]
-            for tau in taus}
-        stats_acc: List[List[dict]] = [rec["flow_stats"] for rec in records]
+        # One session per record: its arrivals answer every tau.
+        late = {tau: [run_late_fractions(rec, setting.mu, tau)[0]
+                      for rec in records]
+                for tau in float_taus}
+        per_tau = {tau: [lf for lf, _ in pairs]
+                   for tau, pairs in late.items()}
+        stats_acc: List[List[Dict[str, Any]]] = [
+            rec["flow_stats"] for rec in records]
 
         # Average measured flow parameters over the replications.
         k = len(stats_acc[0])
-        measured: List[dict] = []
+        measured: List[Dict[str, float]] = []
         for idx in range(k):
             p_mean = sum(s[idx]["loss_event_estimate"]
                          for s in stats_acc) / profile.runs
@@ -263,13 +292,13 @@ def run_setting(setting: Setting,
                        loss_model=MEASURED_LOSS_MODEL)
             for m in measured]
 
-        estimates = {}
+        estimates: Dict[float, LateFractionEstimate] = {}
         if run_model:
             tasks = [ModelTask(flows=tuple(flow_params), mu=setting.mu,
                                tau=tau, horizon_s=profile.model_horizon_s,
                                seed=seed0)
-                     for tau in taus]
-            cached = [cache.get_model(task) if cache else None
+                     for tau in float_taus]
+            cached = [resolved.get_model(task) if resolved else None
                       for task in tasks]
             unsolved = [idx for idx, est in enumerate(cached)
                         if est is None]
@@ -277,14 +306,15 @@ def run_setting(setting: Setting,
                 [tasks[idx] for idx in unsolved])
             for idx, estimate in zip(unsolved, solved):
                 cached[idx] = estimate
-                if cache:
-                    cache.put_model(tasks[idx], estimate)
-            estimates = dict(zip(taus, cached))
+                if resolved:
+                    resolved.put_model(tasks[idx], estimate)
+            estimates = {tau: est for tau, est in zip(float_taus, cached)
+                         if est is not None}
 
         points: List[TauPoint] = []
-        for tau in taus:
+        for tau in float_taus:
             sim_mean, ci = _mean_ci95(per_tau[tau])
-            ao_mean = sum(per_tau_ao[tau]) / len(per_tau_ao[tau])
+            ao_mean = sum(ao for _, ao in late[tau]) / len(late[tau])
             if run_model:
                 estimate = estimates[tau]
                 model_f, model_se = estimate.late_fraction, estimate.stderr

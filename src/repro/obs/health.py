@@ -252,8 +252,7 @@ class SessionHealth:
     __slots__ = ("meta", "tau", "arrivals", "late_packets",
                  "startup_delay_s", "rebuffer_count", "stall_s",
                  "max_lag_s", "path_packets", "cwnd", "send_buffer",
-                 "received", "done", "_play_head", "_spacing",
-                 "_deadline0")
+                 "received", "done", "_play_head", "_spacing")
 
     def __init__(self, meta: SessionMeta, tau: float) -> None:
         self.meta = meta
@@ -270,9 +269,8 @@ class SessionHealth:
         self.received = 0
         self.done = False
         self._spacing = 1.0 / meta.mu
-        # Playback-order deadline of packet 0 and the freeze-resume
-        # playout clock (arrival order) both start at start + tau.
-        self._deadline0 = meta.start_at + tau
+        # The freeze-resume playout clock (arrival order) starts at
+        # start + tau.
         self._play_head = meta.start_at + tau
 
     def on_arrival(self, time: float, path: str, number: int) -> float:
@@ -282,7 +280,11 @@ class SessionHealth:
             self.startup_delay_s = max(0.0, time - self.meta.start_at)
         self.arrivals += 1
         self.path_packets[path] = self.path_packets.get(path, 0) + 1
-        lag = time - (self._deadline0 + number * self._spacing)
+        # Exactly the deadline test of repro.core.metrics on the
+        # session clock, so the two late fractions agree bit for bit
+        # (a - b > 0 iff a > b for finite floats).
+        lag = (time - self.meta.start_at) \
+            - (self.tau + number / self.meta.mu)
         if lag > 0.0:
             self.late_packets += 1
             if lag > self.max_lag_s:

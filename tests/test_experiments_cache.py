@@ -11,25 +11,42 @@ from repro.experiments.cache import (
     CODE_VERSION,
     ResultCache,
     resolve_cache,
-    tau_key,
+)
+from repro.experiments.campaign import (
+    meanfield_spec_for_setting,
+    run_campaign,
 )
 from repro.experiments.configs import Setting
 from repro.experiments.parallel import ModelTask, RunSpec
 from repro.experiments.runner import ScaleProfile, run_setting
 from repro.model.dmp_model import LateFractionEstimate
-from repro.model.meanfield import MeanFieldSpec
+from repro.model.meanfield import MeanFieldSpec, solve_meanfield
 from repro.model.tcp_chain import FlowParams
 
 TINY = ScaleProfile("tiny", runs=2, duration_s=40.0,
                     model_horizon_s=1000.0)
+SHORT = ScaleProfile("short", runs=2, duration_s=10.0,
+                     model_horizon_s=1000.0)
 SETTING = Setting("4-4", (4, 4), mu=80)
+CAMPAIGN = Setting("camp", (2, 2), mu=15.0, n_sessions=3)
+
+#: A well-formed single-session record: 4 packets, packet 1 missing.
+RECORD = {"flow_stats": [{"mean_rtt": 0.1}],
+          "sessions": [{"total_packets": 4,
+                        "arrivals": [[0, 0.5], [2, 1.25], [3, 0.75]]}]}
 
 
 def _spec(**overrides):
     base = dict(setting=SETTING, duration_s=40.0, scheme="dmp",
-                seed=7, send_buffer_pkts=16, taus=(2.0,))
+                seed=7, send_buffer_pkts=16)
     base.update(overrides)
     return RunSpec(**base)
+
+
+def _write_raw(cache, key, payload):
+    os.makedirs(cache.directory, exist_ok=True)
+    with open(os.path.join(cache.directory, key + ".json"), "w") as fh:
+        json.dump(payload, fh)
 
 
 @pytest.fixture
@@ -38,33 +55,84 @@ def cache(tmp_path):
 
 
 # ---------------------------------------------------------------------
-# Hit / miss and record merging
+# Hit / miss; any tau is answered from one record
 # ---------------------------------------------------------------------
 def test_run_record_round_trip(cache):
     spec = _spec()
     assert cache.get_run(spec) is None
     assert cache.misses == 1
-    record = {"flow_stats": [{"mean_rtt": 0.1}],
-              "taus": {tau_key(2.0): [0.5, 0.4]}}
-    cache.put_run(spec, record)
+    cache.put_run(spec, RECORD)
     assert cache.stores == 1
-    assert cache.get_run(spec) == record
+    assert cache.get_run(spec) == RECORD
     assert cache.hits == 1
 
 
-def test_missing_tau_is_a_miss_and_taus_merge(cache):
-    spec2 = _spec(taus=(2.0,))
-    cache.put_run(spec2, {"flow_stats": [],
-                          "taus": {tau_key(2.0): [0.5, 0.4]}})
-    spec4 = _spec(taus=(2.0, 4.0))
-    assert cache.get_run(spec4) is None  # tau=4 not covered yet
-    cache.put_run(spec4, {"flow_stats": [],
-                          "taus": {tau_key(4.0): [0.2, 0.1]}})
-    merged = cache.get_run(spec4)
-    assert merged["taus"] == {tau_key(2.0): [0.5, 0.4],
-                              tau_key(4.0): [0.2, 0.1]}
-    # The original single-tau view still hits too.
-    assert cache.get_run(spec2) is not None
+def test_record_at_taus_a_answers_taus_b(cache):
+    """Records written at one set of startup delays answer another with
+    zero run misses, and the values equal a fresh uncached run."""
+    run_setting(SETTING, taus=(2.0, 4.0), profile=SHORT, seed0=7,
+                run_model=False, cache=cache)
+    assert (cache.misses, cache.stores) == (SHORT.runs, SHORT.runs)
+    taus_b = (0.0, 1.0, 3.0, 4.0, 9.5)
+    requery = run_setting(SETTING, taus=taus_b, profile=SHORT,
+                          seed0=7, run_model=False, cache=cache)
+    assert cache.misses == SHORT.runs  # no new misses
+    assert cache.hits == SHORT.runs
+    assert cache.stores == SHORT.runs  # nothing re-simulated
+    fresh = run_setting(SETTING, taus=taus_b, profile=SHORT, seed0=7,
+                        run_model=False, cache=False)
+    assert requery.per_run_late == fresh.per_run_late
+    assert [(p.sim_mean, p.sim_ci95, p.sim_arrival_order_mean)
+            for p in requery.points] \
+        == [(p.sim_mean, p.sim_ci95, p.sim_arrival_order_mean)
+            for p in fresh.points]
+
+
+def _bad_sessions():
+    ok = RECORD["sessions"][0]
+    return {
+        "arrivals not a list": [dict(ok, arrivals={"0": 0.5})],
+        "number below range": [dict(ok, arrivals=[[-1, 0.5]])],
+        "number at total": [dict(ok, arrivals=[[4, 0.5]])],
+        "more arrivals than packets": [dict(
+            ok, total_packets=2, arrivals=[[0, 0.1], [1, 0.2], [2, 0.3]])],
+        "duplicate number": [dict(ok, arrivals=[[0, 0.1], [0, 0.2]])],
+        "float number": [dict(ok, arrivals=[[0.0, 0.1]])],
+        "non-finite time": [dict(ok, arrivals=[[0, float("nan")]])],
+        "missing total": [{"arrivals": ok["arrivals"]}],
+        "wrong session count": [ok, ok],
+        "sessions not a list": ok,
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_sessions()))
+def test_malformed_run_record_is_a_miss(cache, case):
+    """A malformed record is a miss, never a wrong number."""
+    spec = _spec()
+    _write_raw(cache, cache.run_key(spec),
+               dict(RECORD, sessions=_bad_sessions()[case]))
+    assert cache.get_run(spec) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+def test_campaign_record_without_health_is_a_miss(cache):
+    spec = _spec(setting=CAMPAIGN)
+    sessions = RECORD["sessions"] * 3
+    record = {"flow_stats": [], "sessions": sessions}
+    _write_raw(cache, cache.run_key(spec), record)
+    assert cache.get_run(spec) is None
+    _write_raw(cache, cache.run_key(spec),
+               dict(record, health={"late": {}}))
+    assert cache.get_run(spec) is None
+    cache.put_run(spec, dict(record, health={"rollup": {}}))
+    assert cache.get_run(spec) is not None
+
+
+def test_put_run_is_a_plain_write(cache):
+    spec = _spec()
+    cache.put_run(spec, dict(RECORD, counters={"link.send": 1}))
+    cache.put_run(spec, RECORD)
+    assert cache.get_run(spec) == RECORD  # nothing carried over
 
 
 # ---------------------------------------------------------------------
@@ -112,8 +180,9 @@ def test_queue_discipline_axis_forced_a_version_bump():
 
 
 def test_run_key_ignores_taus(cache):
-    assert cache.run_key(_spec(taus=(2.0,))) \
-        == cache.run_key(_spec(taus=(2.0, 4.0, 8.0)))
+    """Tau is a query on a record, never part of a run's identity."""
+    assert "taus" not in {f.name for f in dataclasses.fields(RunSpec)}
+    assert "tau" not in json.dumps(cache.run_key_payload(_spec()))
 
 
 def test_key_embeds_code_version(cache, monkeypatch):
@@ -175,32 +244,39 @@ def test_meanfield_key_sensitive_to_every_field(cache):
     assert payload["version"] == cache_mod.CODE_VERSION
 
 
-def test_meanfield_record_round_trip_and_tau_merge(cache):
-    spec = _mf_spec()
-    assert cache.get_meanfield(spec, [2.0]) is None
-    assert cache.misses == 1
-    cache.put_meanfield(spec, {"backend": "meanfield",
-                               "taus": {tau_key(2.0): 0.5}})
-    assert cache.stores == 1
-    assert cache.get_meanfield(spec, [2.0])["taus"] \
-        == {tau_key(2.0): 0.5}
-    assert cache.hits == 1
-    # A new tau misses, then merges with the prior record.
-    assert cache.get_meanfield(spec, [2.0, 4.0]) is None
-    cache.put_meanfield(spec, {"backend": "meanfield",
-                               "taus": {tau_key(4.0): 0.25}})
-    merged = cache.get_meanfield(spec, [2.0, 4.0])
-    assert merged["taus"] == {tau_key(2.0): 0.5, tau_key(4.0): 0.25}
+MF_CAMPAIGN = Setting("mf", (2, 2), mu=10.0, n_sessions=100,
+                      backend="meanfield")
+MF_PROFILE = ScaleProfile("mf", runs=1, duration_s=20.0,
+                          model_horizon_s=0.0)
+
+
+def test_meanfield_record_answers_any_tau(cache):
+    """One solve is cached; a later request at other taus is a hit and
+    equals the live solution's late fractions exactly."""
+    run_campaign(MF_CAMPAIGN, taus=(2.0,), profile=MF_PROFILE,
+                 cache=cache)
+    assert (cache.misses, cache.stores) == (1, 1)
+    taus_b = (0.0, 1.5, 4.0)
+    again = run_campaign(MF_CAMPAIGN, taus=taus_b, profile=MF_PROFILE,
+                         cache=cache)
+    assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
+    solution = solve_meanfield(meanfield_spec_for_setting(
+        MF_CAMPAIGN, MF_PROFILE.duration_s))
+    assert [pt.mean for pt in again.points] \
+        == [solution.late_fraction(tau) for tau in taus_b]
 
 
 def test_corrupted_meanfield_record_is_a_miss(cache, tmp_path):
     spec = _mf_spec()
-    path = os.path.join(str(tmp_path),
-                        cache.meanfield_key(spec) + ".json")
-    os.makedirs(str(tmp_path), exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump({"taus": "not-a-dict"}, handle)
-    assert cache.get_meanfield(spec, [2.0]) is None
+    scalars = {"mean_drop_prob": 0.1, "mean_queue_pkts": 1.0}
+    for record in ({"goodput_pps": "not-a-list", **scalars},
+                   {"goodput_pps": [], **scalars},
+                   {"goodput_pps": [1.0, -0.5], **scalars},
+                   {"goodput_pps": [1.0, float("nan")], **scalars},
+                   {"goodput_pps": [1.0, 2.0], "mean_queue_pkts": 1.0}):
+        _write_raw(cache, cache.meanfield_key(spec), record)
+        assert cache.get_meanfield(spec) is None, record
+    assert cache.hits == 0
 
 
 def test_model_key_sensitive_to_flows_and_inputs(cache):
@@ -241,16 +317,14 @@ def test_cache_dir_env_override(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------
 def test_corrupted_record_is_a_miss(cache, tmp_path):
     spec = _spec()
-    cache.put_run(spec, {"flow_stats": [],
-                         "taus": {tau_key(2.0): [0.5, 0.4]}})
+    cache.put_run(spec, RECORD)
     path = os.path.join(str(tmp_path), cache.run_key(spec) + ".json")
     full = open(path).read()
     with open(path, "w") as handle:
         handle.write(full[:len(full) // 2])  # truncated JSON
     assert cache.get_run(spec) is None
     # And a fresh put repairs it.
-    cache.put_run(spec, {"flow_stats": [],
-                         "taus": {tau_key(2.0): [0.5, 0.4]}})
+    cache.put_run(spec, RECORD)
     assert cache.get_run(spec) is not None
 
 
@@ -262,7 +336,7 @@ def test_non_dict_and_schema_less_records_are_misses(cache, tmp_path):
         json.dump([1, 2, 3], handle)
     assert cache.get_run(spec) is None
     with open(path, "w") as handle:
-        json.dump({"taus": "not-a-dict", "flow_stats": []}, handle)
+        json.dump({"sessions": "not-a-list", "flow_stats": []}, handle)
     assert cache.get_run(spec) is None
 
 
@@ -281,7 +355,7 @@ def test_unwritable_directory_degrades_to_no_caching(tmp_path):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("occupied")
     broken = ResultCache(str(blocker / "sub"))
-    broken.put_run(_spec(), {"flow_stats": [], "taus": {}})
+    broken.put_run(_spec(), RECORD)
     assert broken.stores == 0  # silently skipped, no exception
 
 
@@ -320,6 +394,16 @@ def test_warm_cache_skips_all_simulation(cache, monkeypatch):
              pt.sim_arrival_order_mean) for pt in cold.points]
 
 
+def test_cache_true_uses_the_configured_cache(tmp_path):
+    cache_mod.configure(enabled=False, directory=str(tmp_path))
+    try:
+        run_setting(SETTING, taus=(2.0,), profile=SHORT, seed0=7,
+                    run_model=False, cache=True)
+        assert len(os.listdir(str(tmp_path))) == SHORT.runs
+    finally:
+        cache_mod.configure(enabled=None, directory=None)
+
+
 def test_cache_false_bypasses_default(tmp_path, monkeypatch):
     cache_mod.configure(enabled=True, directory=str(tmp_path))
     try:
@@ -345,6 +429,14 @@ def test_resolve_cache_semantics(tmp_path):
         assert isinstance(default, ResultCache)
         assert default.directory == str(tmp_path)
         assert resolve_cache(None) is default  # shared instance
+        assert resolve_cache(True) is default
+        # True asks for the configured cache even when it is off by
+        # default; it never silently disables caching.
+        cache_mod.configure(enabled=False, directory=str(tmp_path))
+        assert resolve_cache(None) is None
+        forced = resolve_cache(True)
+        assert isinstance(forced, ResultCache)
+        assert forced.directory == str(tmp_path)
     finally:
         cache_mod.configure(enabled=None, directory=None)
 

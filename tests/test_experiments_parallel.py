@@ -60,7 +60,7 @@ def test_parallel_matches_serial_bit_identical():
 
 def test_simulate_run_is_deterministic():
     spec = RunSpec(setting=SETTING, duration_s=40.0, scheme="dmp",
-                   seed=123, send_buffer_pkts=16, taus=(2.0, 4.0))
+                   seed=123, send_buffer_pkts=16)
     assert simulate_run(spec) == simulate_run(spec)
 
 

@@ -29,6 +29,29 @@ def test_scale_profile_lookup(monkeypatch):
         scale_profile("bogus")
 
 
+@pytest.mark.parametrize("bad", [
+    dict(runs=0), dict(runs=-1), dict(duration_s=0.0),
+    dict(duration_s=-5.0), dict(duration_s=float("inf")),
+    dict(model_horizon_s=-1.0), dict(model_horizon_s=float("nan")),
+])
+def test_scale_profile_rejects_bad_sizes(bad):
+    fields = dict(name="bad", runs=2, duration_s=10.0,
+                  model_horizon_s=100.0)
+    with pytest.raises(ValueError, match="bad scale profile"):
+        ScaleProfile(**dict(fields, **bad))
+
+
+@pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])
+def test_run_setting_and_run_campaign_reject_bad_taus(tau):
+    from repro.experiments.campaign import run_campaign
+    setting = Setting("2-2", (2, 2), mu=50)
+    with pytest.raises(ValueError, match="startup delays"):
+        run_setting(setting, taus=(2.0, tau), profile=TINY, cache=False)
+    campaign = Setting("camp", (2, 2), mu=15.0, n_sessions=3)
+    with pytest.raises(ValueError, match="startup delays"):
+        run_campaign(campaign, taus=(tau,), profile=TINY, cache=False)
+
+
 def test_mean_ci95():
     mean, ci = _mean_ci95([1.0, 2.0, 3.0])
     assert mean == pytest.approx(2.0)

@@ -237,42 +237,38 @@ CAMPAIGN_SETTING = Setting("camp-test", (2, 2), mu=15.0,
 
 class TestExperiments:
     def test_simulate_run_campaign_record(self):
+        from repro.experiments.cache import run_late_fractions
+        from repro.experiments.parallel import HEALTH_REFERENCE_TAU
         spec = RunSpec(setting=CAMPAIGN_SETTING, duration_s=8.0,
-                       scheme="dmp", seed=2, send_buffer_pkts=16,
-                       taus=(2.0, 6.0))
-        record = simulate_run(spec)
-        assert set(record["sessions"]) == {"2.0", "6.0"}
-        assert all(len(v) == 3 for v in record["sessions"].values())
+                       scheme="dmp", seed=2, send_buffer_pkts=16)
+        record = json.loads(json.dumps(simulate_run(spec)))
+        assert len(record["sessions"]) == 3
+        assert all(s["total_packets"] == 120  # 8 s x mu=15
+                   for s in record["sessions"])
         assert len(record["flow_stats"]) == 6  # 3 sessions x 2 paths
-        # Population mean in taus matches the sessions list.
-        for key, (mean_late, _) in record["taus"].items():
-            per_session = record["sessions"][key]
-            assert mean_late == pytest.approx(
-                sum(per_session) / len(per_session))
+        # The streaming health rollup and the post-hoc reader of the
+        # stored arrivals agree exactly at the rollup's reference tau.
+        rows = record["health"]["rollup"]["sessions"]
+        late = run_late_fractions(record, CAMPAIGN_SETTING.mu,
+                                  HEALTH_REFERENCE_TAU)
+        assert [row["late_fraction"] for row in rows] \
+            == [lf for lf, _ in late]
 
     def test_cache_requires_sessions_coverage(self, tmp_path):
         from repro.experiments.cache import ResultCache
         cache = ResultCache(str(tmp_path))
         spec = RunSpec(setting=CAMPAIGN_SETTING, duration_s=5.0,
-                       scheme="dmp", seed=1, send_buffer_pkts=16,
-                       taus=(2.0,))
-        from repro.obs.health import hist_of
-        record = {"flow_stats": [], "taus": {"2.0": [0.1, 0.1]}}
+                       scheme="dmp", seed=1, send_buffer_pkts=16)
+        session = {"total_packets": 3, "arrivals": [[0, 0.5]]}
+        record = {"flow_stats": [], "health": {"rollup": {}}}
         cache.put_run(spec, record)
-        # Campaign spec without per-session data -> miss, not a hit.
+        # Campaign spec without per-session arrivals -> miss.
         assert cache.get_run(spec) is None
-        # Per-session lists alone are still a partial (pre-v9) record:
-        # the QoE health rollup must cover the same taus too.
-        record["sessions"] = {"2.0": [0.1, 0.2, 0.0]}
-        cache.put_run(spec, record)
+        # Fewer sessions than the setting runs -> miss.
+        cache.put_run(spec, dict(record, sessions=[session] * 2))
         assert cache.get_run(spec) is None
-        record["health"] = {
-            "rollup": {},
-            "late_hists": {"2.0": hist_of([0.1, 0.2, 0.0]).to_dict()},
-        }
-        cache.put_run(spec, record)
-        assert cache.get_run(spec)["sessions"]["2.0"] == \
-            [0.1, 0.2, 0.0]
+        cache.put_run(spec, dict(record, sessions=[session] * 3))
+        assert cache.get_run(spec)["sessions"] == [session] * 3
 
     def test_run_setting_rejects_campaign_settings(self):
         with pytest.raises(ValueError, match="run_campaign"):
@@ -409,7 +405,7 @@ def test_seeded_churn_campaign_is_bit_identical(seed):
         setting=Setting("camp-prop", (2, 2), mu=15.0, n_sessions=3,
                         churn_rate=0.6),
         duration_s=5.0, scheme="dmp", seed=seed,
-        send_buffer_pkts=16, taus=(2.0, 4.0))
+        send_buffer_pkts=16)
     assert simulate_run(spec) == simulate_run(spec)
 
 
@@ -461,7 +457,6 @@ class TestMeanfieldBackendDispatch:
             run_setting(single, taus=(2.0,), profile=self.PROFILE,
                         cache=False, run_model=False)
         spec = RunSpec(setting=self.SETTING, duration_s=5.0,
-                       scheme="dmp", seed=1, send_buffer_pkts=16,
-                       taus=(2.0,))
+                       scheme="dmp", seed=1, send_buffer_pkts=16)
         with pytest.raises(ValueError, match="backend"):
             simulate_run(spec)

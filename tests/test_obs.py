@@ -414,11 +414,11 @@ def test_cache_counters_records(tmp_path):
 
     cache = ResultCache(str(tmp_path))
     base = dict(setting=ALL_SETTINGS["2-2"], duration_s=5.0,
-                scheme="dmp", seed=1, send_buffer_pkts=16,
-                taus=(4.0,))
+                scheme="dmp", seed=1, send_buffer_pkts=16)
     plain = RunSpec(**base)
     instrumented = RunSpec(**base, counters=True)
-    record = {"flow_stats": [{}], "taus": {"4.0": [0.1, 0.1]}}
+    record = {"flow_stats": [{}],
+              "sessions": [{"total_packets": 1, "arrivals": [[0, 0.1]]}]}
 
     cache.put_run(plain, record)
     assert cache.get_run(plain) is not None
@@ -428,11 +428,8 @@ def test_cache_counters_records(tmp_path):
                   dict(record, counters={"link.send": 42}))
     hit = cache.get_run(instrumented)
     assert hit is not None and hit["counters"] == {"link.send": 42}
-    # ... and the upgraded record still serves plain requests with the
-    # counters preserved through a counter-less re-store.
-    cache.put_run(plain, record)
-    assert cache.get_run(instrumented)["counters"] == \
-        {"link.send": 42}
+    # ... and the instrumented record serves plain requests too.
+    assert cache.get_run(plain)["counters"] == {"link.send": 42}
 
 
 def test_counters_survive_simulate_run():
@@ -441,11 +438,10 @@ def test_counters_survive_simulate_run():
 
     spec = RunSpec(setting=ALL_SETTINGS["2-2"], duration_s=5.0,
                    scheme="dmp", seed=1, send_buffer_pkts=16,
-                   taus=(4.0,), counters=True)
+                   counters=True)
     record = simulate_run(spec)
     assert isinstance(record["counters"], dict)
     assert record["counters"]["source.generate"] == 250  # 5 s * mu=50
     plain = RunSpec(setting=ALL_SETTINGS["2-2"], duration_s=5.0,
-                    scheme="dmp", seed=1, send_buffer_pkts=16,
-                    taus=(4.0,))
+                    scheme="dmp", seed=1, send_buffer_pkts=16)
     assert "counters" not in simulate_run(plain)
