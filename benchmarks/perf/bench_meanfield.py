@@ -42,7 +42,6 @@ BASE_RTT_S = 2.0 * (2.0 * 0.010 + DELAY_S)
 SEED = 1
 WARMUP_S = 5.0
 DRAIN_S = 10.0
-SERVICE_BATCH = 8
 TAU = 4.0
 
 MEASURED_NS = (10, 100, 1000)
@@ -75,8 +74,7 @@ def _packet_seconds(n_sessions: int, duration_s: float) -> dict:
             bandwidth_bps=bandwidth_pps * 1500 * 8, delay_s=DELAY_S,
             buffer_pkts=int(round(BUFFER_PER_SESSION * n_sessions))),
         paths_per_session=PATHS, queue_discipline="droptail",
-        seed=SEED, stagger_s=5.0 / n_sessions, warmup_s=WARMUP_S,
-        service_batch=SERVICE_BATCH)
+        seed=SEED, stagger_s=5.0 / n_sessions, warmup_s=WARMUP_S)
     started = time.perf_counter()
     result = campaign.run(drain_s=DRAIN_S)
     elapsed = time.perf_counter() - started
@@ -144,7 +142,6 @@ def run(mode: str) -> dict:
             "duration_s": duration_s,
             "buffer_per_session": BUFFER_PER_SESSION,
             "queue_discipline": "droptail",
-            "service_batch": SERVICE_BATCH,
             "grid_ratios": list(GRID_RATIOS),
             "grid_taus": list(GRID_TAUS),
         },

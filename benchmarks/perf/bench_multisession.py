@@ -1,15 +1,14 @@
 """Multi-session campaign benchmark: events/sec vs session count.
 
 Runs one staggered-start campaign per session count N over a shared
-drop-tail bottleneck (packet pool and batched link service on — the
-configuration campaigns run with) and reports the engine event rate
-at each N.  The shape of this curve is the multi-session refactor's
+drop-tail bottleneck (packet pool on — the configuration campaigns
+run with) and reports the engine event rate at each N.  The shape of this curve is the multi-session refactor's
 deliverable: per-event cost must stay roughly flat as N grows, i.e.
 events/sec at N=200 must hold within 3x of the N=10 rate
 (``tools/perf_track`` gates exactly that, within one report, on any
 machine).
 
-The N=1000 point doubles as a PacketPool/service-batch audit at the
+The N=1000 point doubles as a PacketPool audit at the
 largest population the packet sim still affords: each point carries
 the pool counters, and perf_track gates that at N=1000 the pool
 actually recycles (reuse fraction >= 0.5) rather than degenerating
@@ -37,7 +36,6 @@ MU = 25.0
 SEED = 1
 WARMUP_S = 5.0
 STAGGER_S = 0.05
-SERVICE_BATCH = 8
 
 #: 50 Mbps shared bottleneck: ~60 Mbps of offered video load at
 #: N=200 (2 paths x 25 pkt/s x 1500 B each), so the largest point
@@ -59,8 +57,7 @@ def _build(n_sessions: int, duration_s: float) -> MultiSessionCampaign:
         mu=MU, duration_s=duration_s, n_sessions=n_sessions,
         bottleneck=SPEC, paths_per_session=2,
         queue_discipline="droptail", seed=SEED,
-        stagger_s=STAGGER_S, warmup_s=WARMUP_S,
-        service_batch=SERVICE_BATCH)
+        stagger_s=STAGGER_S, warmup_s=WARMUP_S)
 
 
 def run(mode: str) -> dict:
@@ -142,7 +139,6 @@ def run(mode: str) -> dict:
     return {
         "config": {"mu": MU, "seed": SEED, "duration_s": duration_s,
                    "counts": list(SESSION_COUNTS),
-                   "service_batch": SERVICE_BATCH,
                    "queue_discipline": "droptail"},
         "points": points,
         "events_per_second_by_n": by_n,

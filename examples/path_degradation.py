@@ -51,7 +51,7 @@ def build(scheme: str, seed: int = 3):
 
     # Schedule the degradation: path 2 collapses to 0.24 Mbps.
     def degrade():
-        links[1].bandwidth_bps = 0.24e6
+        links[1].set_bandwidth(0.24e6)
         print(f"    [t={sim.now:5.1f}s] path 2 degraded to 0.24 Mbps")
 
     sim.at(DEGRADE_AT, degrade)

@@ -135,8 +135,7 @@ class MultiSessionCampaign:
                  tcp_variant: str = "reno",
                  client_buffer_pkts: Optional[int] = None,
                  client_tau: float = 10.0,
-                 use_pool: bool = True,
-                 service_batch: int = 1) -> None:
+                 use_pool: bool = True) -> None:
         if n_sessions < 1:
             raise ValueError("need at least one session")
         if churn_rate < 0:
@@ -159,15 +158,12 @@ class MultiSessionCampaign:
         # campaigns attach none.  ``use_pool=False`` restores plain
         # allocation for such custom sinks.
         if use_pool:
-            self.sim.pool = PacketPool(
-                prealloc=64 * n_sessions,
-                scratch=max(64, service_batch))
+            self.sim.pool = PacketPool(prealloc=64 * n_sessions)
 
         self.topology = FanInTopology(
             self.sim, bottleneck, n_sessions=n_sessions,
             paths_per_session=paths_per_session,
-            queue_discipline=queue_discipline,
-            service_batch=service_batch)
+            queue_discipline=queue_discipline)
 
         # --- session start times (seeded; before any other RNG use) --
         self.start_times: List[float] = []
@@ -258,15 +254,13 @@ class MultiSessionCampaign:
         is the reference startup delay the rollup's late fraction and
         stall clock use.
         """
-        queue = self.topology.bottleneck_fwd.queue
-
         def sampler(sender: Any) -> Callable[[], Tuple[float, float]]:
             return lambda: (sender.cwnd, float(sender.buffered))
 
         aggregator = HealthAggregator(
             self.bus, [a.health_meta() for a in self.assemblies],
             tau=tau, sim=self.sim,
-            queue_len=lambda: len(queue),
+            queue_len=self.topology.bottleneck_fwd.backlog,
             queue_sample_s=queue_sample_s,
             sample_until=max(a.end_at for a in self.assemblies),
             flow_states=[(a.label, sampler(conn.sender))

@@ -207,8 +207,7 @@ class StreamingSession:
         sampler.add_series("client.received",
                            lambda c=self.client: c.received)
         for link in self._bottlenecks:
-            sampler.add_series(f"queue.{link.name}",
-                               lambda q=link.queue: len(q))
+            sampler.add_series(f"queue.{link.name}", link.backlog)
         return sampler
 
     def attach_jsonl(self, target,

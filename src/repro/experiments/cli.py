@@ -145,8 +145,7 @@ def _run_campaign(args) -> int:
         scheme=args.scheme,
         queue_discipline=setting.queue_discipline,
         seed=args.seed, churn_rate=args.churn,
-        n_ftp=path.n_ftp, n_http=path.n_http,
-        service_batch=args.service_batch)
+        n_ftp=path.n_ftp, n_http=path.n_http)
     counters = campaign.attach_counters()
     jsonl = campaign.attach_jsonl(args.trace_out) \
         if args.trace_out else None
@@ -388,10 +387,6 @@ def main(argv=None) -> int:
         help="session arrival rate per second (0 = staggered "
              "starts; default: 0)")
     group.add_argument(
-        "--service-batch", type=int, default=8, metavar="K",
-        help="bottleneck link batch size (1 = exact per-packet "
-             "service; default: 8)")
-    group.add_argument(
         "--backend", choices=list(meanfield.BACKENDS),
         default="packet",
         help="campaign solver: the packet-level simulator or the "
@@ -497,8 +492,6 @@ def _dispatch(parser, args) -> int:
             parser.error("--sessions must be >= 1")
         if args.churn < 0:
             parser.error("--churn must be >= 0")
-        if args.service_batch < 1:
-            parser.error("--service-batch must be >= 1")
         if args.health_tau < 0:
             parser.error("--health-tau must be >= 0")
         from repro.obs.recorder import parse_trigger

@@ -1,7 +1,7 @@
 """Time-varying link capacity: outages and on/off modulation.
 
-Link bandwidth is sampled at each serialisation start, so mutating
-``link.bandwidth_bps`` at scheduled times yields a time-varying path.
+Link bandwidth is sampled at each serialisation start, so calling
+``Link.set_bandwidth`` at scheduled times yields a time-varying path.
 :class:`OnOffLinkModulator` drives the square-wave pattern of the
 paper's Section 7.3 (periodic alternation between a nominal and a
 degraded rate); :class:`ScheduledLinkModulator` replays an arbitrary
@@ -43,19 +43,19 @@ class OnOffLinkModulator:
         offset = phase % period
         # Establish the state at t = now and schedule the next flip.
         if offset < on_time:
-            link.bandwidth_bps = on_bandwidth_bps
+            link.set_bandwidth(on_bandwidth_bps)
             sim.schedule(on_time - offset, self._go_off)
         else:
-            link.bandwidth_bps = off_bandwidth_bps
+            link.set_bandwidth(off_bandwidth_bps)
             sim.schedule(period - offset, self._go_on)
 
     def _go_on(self) -> None:
-        self.link.bandwidth_bps = self.on_bandwidth_bps
+        self.link.set_bandwidth(self.on_bandwidth_bps)
         self.transitions += 1
         self.sim.schedule(self.on_time, self._go_off)
 
     def _go_off(self) -> None:
-        self.link.bandwidth_bps = self.off_bandwidth_bps
+        self.link.set_bandwidth(self.off_bandwidth_bps)
         self.transitions += 1
         self.sim.schedule(self.period - self.on_time, self._go_on)
 
@@ -84,5 +84,5 @@ class ScheduledLinkModulator:
             sim.schedule(when, self._apply, bandwidth)
 
     def _apply(self, bandwidth: float) -> None:
-        self.link.bandwidth_bps = bandwidth
+        self.link.set_bandwidth(bandwidth)
         self.applied.append((self.sim.now, bandwidth))

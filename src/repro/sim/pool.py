@@ -8,15 +8,6 @@ free-list of preallocated packets: acquisition pops a recycled
 instance and rewrites its header fields in place, release pushes the
 instance back once the network is done with it.
 
-Field storage is struct-of-arrays on the *scratch* side only: the pool
-keeps flat preallocated arrays (``sizes_scratch``) that batched link
-service uses to compute k back-to-back departure times in one pass
-without touching per-packet attributes twice.  The packets themselves
-stay ordinary ``__slots__`` objects — every consumer (TCP, queues,
-probes) reads attributes on the hot path, and indirecting those reads
-through array handles was measured to cost more than the allocations
-it saved.
-
 Ownership contract (who releases):
 
 * a packet dropped by a link buffer is released by the link;
@@ -50,22 +41,16 @@ class PacketPool:
     prealloc:
         Packets to allocate up front.  The pool grows on demand, so
         this only moves allocation cost to construction time.
-    scratch:
-        Size of the struct-of-arrays scratch block handed to batched
-        link service (entries; one per packet of the largest batch).
     """
 
-    def __init__(self, prealloc: int = 0, scratch: int = 64) -> None:
-        if prealloc < 0 or scratch < 1:
-            raise ValueError("prealloc must be >= 0 and scratch >= 1")
+    def __init__(self, prealloc: int = 0) -> None:
+        if prealloc < 0:
+            raise ValueError("prealloc must be >= 0")
         self._free: List[Packet] = []
         self.allocated = 0
         self.acquired = 0
         self.released = 0
         self.recycled = 0
-        #: Flat per-batch size array for vectorized departure-time
-        #: computation in :meth:`repro.sim.link.Link._transmit_batch`.
-        self.sizes_scratch: List[int] = [0] * scratch
         for _ in range(prealloc):
             self._free.append(self._new())
 

@@ -25,7 +25,7 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass
-from typing import (Callable, Deque, Dict, List, Optional, Tuple,
+from typing import (Callable, Deque, Dict, Optional, Tuple,
                     TYPE_CHECKING)
 
 from repro.obs.bus import NULL_PROBE, Probe
@@ -46,6 +46,9 @@ class DropTailQueue:
     the loss process the paper's validation relies on: "packets are
     lost due to buffer overflow".
     """
+
+    #: FIFO, no clock read at dequeue: a Link fixes departures early.
+    fixed_departures = True
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -281,6 +284,8 @@ class PIEQueue(DropTailQueue):
     ``queue.pie.drop`` on the simulator bus when one is supplied.
     """
 
+    fixed_departures = False  # departure-rate cycle reads the clock
+
     def __init__(self, capacity: int, *,
                  rng: Optional[random.Random] = None,
                  clock: Optional[Callable[[], float]] = None,
@@ -456,6 +461,8 @@ class FQPIEQueue(DropTailQueue):
     drop-from-longest-queue, keeping the offer/drop accounting
     identical across disciplines).
     """
+
+    fixed_departures = False  # DRR reorders; sojourn read at dequeue
 
     #: EWMA weight for the per-flow sojourn-delay estimate.
     DELAY_EWMA = 0.25

@@ -29,8 +29,7 @@ ACCESS_DELAY_S = 0.010
 
 def _bottleneck_pair(sim: Simulator, r_in: Node, r_out: Node,
                      spec: "BottleneckSpec",
-                     discipline: str,
-                     service_batch: int = 1) -> Tuple[Link, Link]:
+                     discipline: str) -> Tuple[Link, Link]:
     """Build the fwd/rev bottleneck links under one queue discipline.
 
     The queue factory is fed the simulator's seeded RNG and clock so
@@ -41,8 +40,7 @@ def _bottleneck_pair(sim: Simulator, r_in: Node, r_out: Node,
     ``(src, sport, dst, dport)``), the RNG/clock closures are
     per-simulator, and link/queue names derive from the router names,
     which are unique per builder.  Any number of sessions may share
-    one pair; ``service_batch > 1`` opts the pair into batched link
-    service for campaign-scale runs.
+    one pair.
     """
     links = []
     for src, dst in ((r_in, r_out), (r_out, r_in)):
@@ -51,8 +49,7 @@ def _bottleneck_pair(sim: Simulator, r_in: Node, r_out: Node,
                            rng=sim.rng, clock=lambda: sim.now,
                            bus=sim.bus, name=name)
         links.append(Link(sim, src, dst, spec.bandwidth_bps,
-                          spec.delay_s, spec.buffer_pkts, queue=queue,
-                          service_batch=service_batch))
+                          spec.delay_s, spec.buffer_pkts, queue=queue))
     return links[0], links[1]
 
 
@@ -216,16 +213,11 @@ class FanInTopology:
     port clashes impossible; bottleneck queues key flows by the full
     ``(src, sport, dst, dport)`` tuple rather than anything sized at
     build time.
-
-    ``service_batch`` opts the bottleneck pair into batched link
-    service (access links stay exact: they are fat and lightly
-    queued, so batching them would buy nothing).
     """
 
     def __init__(self, sim: Simulator, spec: BottleneckSpec,
                  n_sessions: int, paths_per_session: int = 2,
-                 queue_discipline: str = "droptail",
-                 service_batch: int = 1) -> None:
+                 queue_discipline: str = "droptail") -> None:
         if n_sessions < 1 or paths_per_session < 1:
             raise ValueError(
                 "need n_sessions >= 1 and paths_per_session >= 1")
@@ -246,8 +238,7 @@ class FanInTopology:
             queue_limit_pkts=1000)
 
         fwd, rev = _bottleneck_pair(sim, r1, r2, spec,
-                                    queue_discipline,
-                                    service_batch=service_batch)
+                                    queue_discipline)
         r1.add_route(r2.name, fwd)
         r2.add_route(r1.name, rev)
 

@@ -79,7 +79,7 @@ def test_dmp_adapts_to_mid_stream_degradation():
     sim.run(until=20)
     before = list(streamer.sent_per_path)
     # Path 2's bandwidth collapses mid-stream.
-    _forward_link(conns[1]).bandwidth_bps = 5e4
+    _forward_link(conns[1]).set_bandwidth(5e4)
     sim.run(until=80)
     after = streamer.sent_per_path
     delta1 = after[0] - before[0]

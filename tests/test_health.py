@@ -32,7 +32,7 @@ def _campaign(**kwargs):
     defaults = dict(mu=10.0, duration_s=10.0, n_sessions=4,
                     bottleneck=OVERLOADED, paths_per_session=2,
                     queue_discipline="droptail", seed=3,
-                    stagger_s=0.5, warmup_s=2.0, service_batch=4)
+                    stagger_s=0.5, warmup_s=2.0)
     defaults.update(kwargs)
     return MultiSessionCampaign(**defaults)
 

@@ -77,7 +77,7 @@ def _campaign_result(n_sessions, ratio, discipline, n_ftp):
             buffer_pkts=int(round(BUFFER_PER_SESSION * n_sessions))),
         paths_per_session=PATHS, queue_discipline=discipline,
         seed=7, stagger_s=5.0 / n_sessions, warmup_s=WARMUP_S,
-        n_ftp=n_ftp, service_batch=8)
+        n_ftp=n_ftp)
     return campaign.run(drain_s=DRAIN_S)
 
 

@@ -1,7 +1,7 @@
-"""Multi-session campaigns: pool, batched links, fan-in, population.
+"""Multi-session campaigns: pool, link service, fan-in, population.
 
 Covers the campaign stack end to end: packet-pool recycling semantics,
-batched bottleneck service, the fan-in topology under every queue
+FIFO bottleneck service, the fan-in topology under every queue
 discipline, population metrics, the experiments-layer plumb-through
 (cache records, executor fan-out, scenarios, CLI) and the
 hypothesis-backed invariants — packet conservation across sessions,
@@ -30,10 +30,9 @@ from repro.experiments.scenarios import (
     run_scenario,
     validate_scenario,
 )
-from repro.sim.engine import Simulator
 from repro.sim.pool import PacketPool
 from repro.sim.queueing import QUEUE_DISCIPLINES
-from repro.sim.topology import BottleneckSpec, FanInTopology
+from repro.sim.topology import BottleneckSpec
 
 SPEC = BottleneckSpec(bandwidth_bps=8e6, delay_s=0.01,
                       buffer_pkts=80)
@@ -101,22 +100,22 @@ class TestPacketPool:
 
 
 # ---------------------------------------------------------------------
-# Batched link service
+# Link service with the packet pool
 # ---------------------------------------------------------------------
 class TestBatchedService:
     @staticmethod
-    def _run_session(service_batch_via_pool=False, **session_kwargs):
+    def _run_session(pooled=False, **session_kwargs):
         session = StreamingSession(
             mu=20, duration_s=10.0,
             paths=ALL_SETTINGS["2-2"].path_configs(),
             seed=5, **session_kwargs)
-        if service_batch_via_pool:
+        if pooled:
             session.sim.pool = PacketPool()
         result = session.run()
         return session, result
 
     def test_pooled_session_delivers_everything(self):
-        session, result = self._run_session(service_batch_via_pool=True)
+        session, result = self._run_session(pooled=True)
         assert len(result.arrivals) == result.total_packets
         pool = session.sim.pool
         assert pool.acquired > 0
@@ -130,12 +129,12 @@ class TestBatchedService:
 
     def test_pooled_matches_unpooled_arrivals(self):
         _, plain = self._run_session()
-        _, pooled = self._run_session(service_batch_via_pool=True)
+        _, pooled = self._run_session(pooled=True)
         assert plain.arrivals == pooled.arrivals
         assert plain.flow_stats == pooled.flow_stats
 
     def test_batch_service_conserves_and_orders(self):
-        campaign = small_campaign(service_batch=6, use_pool=True)
+        campaign = small_campaign(use_pool=True)
         deliveries = []
         link_name = campaign.topology.bottleneck_fwd.name
 
@@ -150,19 +149,6 @@ class TestBatchedService:
         assert times == sorted(times)
         total = sum(s.total_packets for s in result.sessions)
         assert sum(s.received for s in result.sessions) == total
-
-    def test_batch_matches_exact_counts(self):
-        # Batching quantizes timing but must not create or lose
-        # packets relative to exact per-packet service.
-        exact = small_campaign(service_batch=1).run()
-        batched = small_campaign(service_batch=8).run()
-        assert sum(s.received for s in exact.sessions) == \
-            sum(s.received for s in batched.sessions)
-
-    def test_service_batch_validation(self):
-        sim = Simulator(seed=1)
-        with pytest.raises(ValueError):
-            FanInTopology(sim, SPEC, n_sessions=1, service_batch=0)
 
 
 # ---------------------------------------------------------------------
