@@ -209,6 +209,39 @@ def test_trace_sink_bit_identical_to_pre_refactor_goldens():
         assert estimate.segments == golden["segments"]
 
 
+# The correlated-paths (Fig. 6) topology, pinned the same way: sha256
+# over the session's arrivals, per-flow stats, path shares and the
+# bottleneck drop fraction, captured on the single-session builder.
+FIG6_SETTING = "corr-2"
+FIG6_SEED = 606
+FIG6_DURATION_S = 10.0
+FIG6_DIGEST = \
+    "0291e735c7f0cbc0c5039baa99d0836d0947f1f42b12ef24bb8b5cc24aef8fb6"
+
+
+def run_digest(arrivals, flow_stats, path_shares, drop_fraction):
+    digest = hashlib.sha256()
+    for item in (arrivals, [sorted(s.items()) for s in flow_stats],
+                 path_shares, drop_fraction):
+        digest.update(repr(item).encode())
+    return digest.hexdigest()
+
+
+def test_correlated_paths_run_bit_identical_to_pinned_digest():
+    from repro.experiments.configs import ALL_SETTINGS
+
+    setting = ALL_SETTINGS[FIG6_SETTING]
+    assert setting.shared_bottleneck
+    session = StreamingSession(
+        mu=setting.mu, duration_s=FIG6_DURATION_S,
+        paths=setting.path_configs(),
+        shared_bottleneck=setting.shared_bottleneck, seed=FIG6_SEED)
+    result = session.run()
+    (drop_fraction,) = result.bottleneck_drop_fractions
+    assert run_digest(result.arrivals, result.flow_stats,
+                      result.path_shares, drop_fraction) == FIG6_DIGEST
+
+
 def test_trace_sink_link_filter():
     session = tiny_session(seed=3)
     unfiltered = TraceSink()
