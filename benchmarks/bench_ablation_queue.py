@@ -17,7 +17,7 @@ from conftest import run_once
 from repro.experiments.configs import CALIBRATED_CONFIGS
 from repro.experiments.report import render_table
 from repro.experiments.runner import scale_profile
-from repro.core.session import StreamingSession
+from repro.core.campaign import MultiSessionCampaign
 from repro.sim.queueing import QUEUE_DISCIPLINES
 
 MU = 50.0
@@ -27,10 +27,11 @@ TAUS = (4.0, 8.0)
 def _run(discipline: str, profile, seed: int):
     config = CALIBRATED_CONFIGS[2]
     paths = [config.path_config, config.path_config]
-    session = StreamingSession(mu=MU, duration_s=profile.duration_s,
-                               paths=paths, scheme="dmp", seed=seed,
-                               queue_discipline=discipline)
-    return session.run()
+    session = MultiSessionCampaign(mu=MU, duration_s=profile.duration_s,
+                                   paths=paths, scheme="dmp", seed=seed,
+                                   queue_discipline=discipline)
+    (result,) = session.run().sessions
+    return result
 
 
 def _build():

@@ -12,7 +12,7 @@ from conftest import run_once
 from repro.experiments.configs import HOMOGENEOUS_SETTINGS
 from repro.experiments.report import render_table
 from repro.experiments.runner import scale_profile
-from repro.core.session import StreamingSession
+from repro.core.campaign import MultiSessionCampaign
 
 TAUS = (4.0, 6.0, 8.0)
 
@@ -26,11 +26,11 @@ def _build():
         lates = {tau: [] for tau in TAUS}
         timeouts = []
         for run_idx in range(profile.runs):
-            session = StreamingSession(
+            session = MultiSessionCampaign(
                 mu=setting.mu, duration_s=profile.duration_s,
                 paths=paths, scheme="dmp", seed=660 + run_idx,
                 tcp_variant=variant)
-            result = session.run()
+            (result,) = session.run().sessions
             for tau in TAUS:
                 lates[tau].append(result.late_fraction(tau))
             timeouts.append(sum(s["timeouts"]

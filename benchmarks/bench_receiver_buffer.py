@@ -15,7 +15,7 @@ from conftest import run_once
 from repro.experiments.configs import HOMOGENEOUS_SETTINGS
 from repro.experiments.report import render_table
 from repro.experiments.runner import scale_profile
-from repro.core.session import StreamingSession
+from repro.core.campaign import MultiSessionCampaign
 
 TAU = 8.0
 
@@ -32,13 +32,14 @@ def _build():
         lates = []
         zero_wnd = []
         for run_idx in range(profile.runs):
-            session = StreamingSession(
+            session = MultiSessionCampaign(
                 mu=setting.mu, duration_s=profile.duration_s,
                 paths=paths, scheme="dmp", seed=880 + run_idx,
                 client_buffer_pkts=capacity, client_tau=TAU)
-            result = session.run()
+            (result,) = session.run().sessions
             lates.append(result.late_fraction(TAU))
-            zero_wnd.append(session.client.zero_window_acks)
+            (assembly,) = session.assemblies
+            zero_wnd.append(assembly.client.zero_window_acks)
         rows.append([
             capacity, f"{capacity / mu_tau:.2f}",
             f"{sum(lates) / len(lates):.3e}",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core.session import StreamingSession
+from repro.core.campaign import MultiSessionCampaign
 from repro.experiments.configs import ALL_SETTINGS
 
 SETTING = "2-2"
@@ -25,12 +25,12 @@ MODES = {
 def run(mode: str) -> dict:
     duration_s = MODES[mode]["duration_s"]
     setting = ALL_SETTINGS[SETTING]
-    session = StreamingSession(
+    session = MultiSessionCampaign(
         mu=setting.mu, duration_s=duration_s,
         paths=setting.path_configs(), scheme="dmp",
         shared_bottleneck=setting.shared_bottleneck, seed=SEED)
     started = time.perf_counter()
-    result = session.run()
+    (result,) = session.run().sessions
     elapsed = time.perf_counter() - started
     events = session.sim._processed
     return {

@@ -15,7 +15,7 @@ This walks the full public API in one sitting:
 Run:  python examples/quickstart.py
 """
 
-from repro import BottleneckSpec, PathConfig, StreamingSession
+from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
 from repro.model import DmpModel, FlowParams
 
 # ----------------------------------------------------------------------
@@ -32,9 +32,10 @@ DURATION = 120   # seconds of live video
 
 print(f"Streaming a {MU}-pkt/s live video over 2 paths "
       f"for {DURATION}s ...")
-session = StreamingSession(mu=MU, duration_s=DURATION,
+# One session on the paper's independent-paths topology (Fig. 3).
+run = MultiSessionCampaign(mu=MU, duration_s=DURATION,
                            paths=[path, path], scheme="dmp", seed=7)
-result = session.run()
+(result,) = run.run().sessions
 
 print(f"  packets delivered : {len(result.arrivals)}"
       f" / {result.total_packets}")

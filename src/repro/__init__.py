@@ -18,25 +18,27 @@ Layers
 __version__ = "1.0.0"
 
 from repro.core import (
+    CampaignResult,
     DmpStreamer,
+    MultiSessionCampaign,
+    SessionSummary,
     SinglePathStreamer,
     StaticStreamer,
     StreamClient,
-    StreamingSession,
     VideoPacket,
     VideoSource,
 )
-from repro.core.session import PathConfig, SessionResult
 from repro.sim import Simulator
-from repro.sim.topology import BottleneckSpec
+from repro.sim.topology import BottleneckSpec, PathConfig
 
 __all__ = [
     "__version__",
     "Simulator",
     "BottleneckSpec",
     "PathConfig",
-    "SessionResult",
-    "StreamingSession",
+    "MultiSessionCampaign",
+    "CampaignResult",
+    "SessionSummary",
     "DmpStreamer",
     "StaticStreamer",
     "SinglePathStreamer",

@@ -25,7 +25,6 @@ from repro.core.metrics import (
 )
 from repro.core.packets import VideoPacket
 from repro.core.server_queue import ServerQueue
-from repro.core.session import StreamingSession
 from repro.core.source import StoredVideoSource, VideoSource
 from repro.core.streamers import (
     DmpStreamer,
@@ -46,7 +45,6 @@ __all__ = [
     "DmpStreamer",
     "StaticStreamer",
     "SinglePathStreamer",
-    "StreamingSession",
     "PlaybackMetrics",
     "GlitchStats",
     "glitch_statistics",

@@ -1,19 +1,18 @@
 """One streaming session's endpoint stack, reusable across topologies.
 
-:class:`SessionAssembly` is the per-session slice of what
-:class:`~repro.core.session.StreamingSession` used to build inline:
-the client, the K video TCP connections, the streamer and the video
-source — everything *above* the network.  The session class composes
-one assembly with a Fig. 3/6 topology; a
-:class:`~repro.core.campaign.MultiSessionCampaign` composes N of them
-against one shared :class:`~repro.sim.topology.FanInTopology`.
+:class:`SessionAssembly` is one session's slice of a
+:class:`~repro.core.campaign.MultiSessionCampaign`: the client, the K
+video TCP connections, the streamer and the video source — everything
+*above* the network.  The campaign composes one assembly with the
+paper's Fig. 3/6 topology, or N of them against one shared
+:class:`~repro.sim.topology.FanInTopology`.
 
-Naming: with the default empty ``label`` the assembly reproduces the
-single-session names exactly ("video1", "path1", ...), keeping golden
-traces bit-identical.  Campaigns pass a per-session prefix such as
-``"s7."`` so probe events (``client.arrival`` paths, ``tcp.*`` flow
-names) identify their session — the per-session probe labels the
-multi-session refactor requires.
+Naming: with the default empty ``label`` (the one-session paper runs)
+flows and paths are named "video1", "path1", ..., the names the
+golden traces were captured with.  Fan-in campaigns pass a
+per-session prefix such as ``"s7."`` so probe events
+(``client.arrival`` paths, ``tcp.*`` flow names) identify their
+session.
 
 Construction draws nothing from the simulator RNG, so assemblies can
 be built in any order relative to stochastic components without

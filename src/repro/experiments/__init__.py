@@ -40,13 +40,15 @@ from repro.experiments.runner import (
     scale_profile,
 )
 from repro.experiments.scenarios import (
-    build_session,
+    build_run,
+    build_scenario,
     load_scenario,
     run_scenario,
 )
 
 __all__ = [
-    "build_session",
+    "build_run",
+    "build_scenario",
     "load_scenario",
     "run_scenario",
     "LinkConfig",

@@ -123,8 +123,8 @@ def run_late_fractions(record: Mapping[str, Any], mu: float,
     The one reader of stored arrivals: the same
     :func:`~repro.core.metrics.late_fraction` (missing packets late)
     and :func:`~repro.core.metrics.arrival_order_late_fraction` calls
-    :meth:`repro.core.session.SessionResult.metrics` makes on the live
-    result.
+    :meth:`repro.core.campaign.SessionSummary.metrics` makes on the
+    live result.
     """
     return [(late_fraction(session["arrivals"], mu, tau,
                            total_packets=session["total_packets"]),

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import telemetry
+from repro.core.assembly import VIDEO_SEGMENT_BYTES
 from repro.core.campaign import HISTOGRAM_THRESHOLD
 from repro.core.metrics import quantile
-from repro.core.session import VIDEO_SEGMENT_BYTES
 from repro.obs.health import LogHistogram, hist_of, merge_rollups
 from repro.experiments.cache import (ResultCache, meanfield_late_fraction,
                                      resolve_cache, run_late_fractions)
@@ -88,8 +88,8 @@ def meanfield_spec_for_setting(setting: Setting,
                                drain_s: float = 60.0) -> MeanFieldSpec:
     """Translate a campaign :class:`Setting` into a mean-field problem.
 
-    The mapping mirrors :func:`~repro.experiments.parallel.
-    _simulate_campaign_run`: the first entry of ``setting.configs``
+    The mapping mirrors :func:`~repro.experiments.scenarios.
+    build_run`: the first entry of ``setting.configs``
     supplies the shared fan-in bottleneck and its background load, and
     ``len(setting.configs)`` is the per-session path count.  Bandwidth
     converts to packets/s at the video segment size and the base RTT

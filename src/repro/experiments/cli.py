@@ -55,18 +55,24 @@ from repro.model import meanfield
 from repro.sim.queueing import QUEUE_DISCIPLINES
 
 
-def _run_trace(args) -> int:
-    """Run one instrumented session and report what the bus saw."""
-    from repro.core.session import StreamingSession
+def _build_run(args, n_sessions: int, churn_rate: float = 0.0):
+    """The ``--setting`` run the trace/campaign flags describe."""
+    from repro.experiments.scenarios import build_run
 
     setting = dataclasses.replace(
         ALL_SETTINGS[args.setting],
         queue_discipline=args.queue_discipline)
-    session = StreamingSession(
-        mu=setting.mu, duration_s=args.duration,
-        paths=setting.path_configs(), scheme=args.scheme,
-        shared_bottleneck=setting.shared_bottleneck, seed=args.seed,
-        queue_discipline=setting.queue_discipline)
+    return setting, build_run(
+        setting.mu, args.duration, setting.path_configs(),
+        n_sessions=n_sessions, scheme=args.scheme,
+        shared_bottleneck=setting.shared_bottleneck,
+        queue_discipline=setting.queue_discipline, seed=args.seed,
+        churn_rate=churn_rate)
+
+
+def _run_trace(args) -> int:
+    """Run one instrumented session and report what the bus saw."""
+    setting, session = _build_run(args, n_sessions=1)
     counters = session.attach_counters()
     jsonl = session.attach_jsonl(args.trace_out) \
         if args.trace_out else None
@@ -75,7 +81,7 @@ def _run_trace(args) -> int:
     # Wall clock here times the *solver* for the operator; it never
     # feeds simulated time or results.
     started = time.time()  # repro-lint: disable=RL001 -- progress timer
-    result = session.run()
+    (result,) = session.run().sessions
     elapsed = time.time() - started  # repro-lint: disable=RL001 -- progress timer
 
     if jsonl is not None:
@@ -129,23 +135,11 @@ def _run_campaign(args) -> int:
     """Run one multi-session campaign and report population metrics."""
     import json as json_module
 
-    from repro.core.campaign import MultiSessionCampaign
     from repro.obs import export as health_export
     from repro.obs.recorder import parse_trigger
 
-    setting = dataclasses.replace(
-        ALL_SETTINGS[args.setting],
-        queue_discipline=args.queue_discipline)
-    path = setting.path_configs()[0]
-    campaign = MultiSessionCampaign(
-        mu=setting.mu, duration_s=args.duration,
-        n_sessions=args.sessions,
-        bottleneck=path.bottleneck,
-        paths_per_session=len(setting.configs),
-        scheme=args.scheme,
-        queue_discipline=setting.queue_discipline,
-        seed=args.seed, churn_rate=args.churn,
-        n_ftp=path.n_ftp, n_http=path.n_http)
+    setting, campaign = _build_run(args, n_sessions=args.sessions,
+                                   churn_rate=args.churn)
     counters = campaign.attach_counters()
     jsonl = campaign.attach_jsonl(args.trace_out) \
         if args.trace_out else None

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.session import PathConfig
-from repro.sim.topology import BottleneckSpec
+from repro.sim.topology import BottleneckSpec, PathConfig
 
 
 @dataclass(frozen=True)

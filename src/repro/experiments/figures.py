@@ -113,18 +113,17 @@ def build_table2(profile: Optional[ScaleProfile] = None) -> str:
 
 def _video_loss_correlation(setting, profile, seed: int) -> float:
     """One traced run measuring the two video flows' loss coupling."""
-    from repro.core.session import StreamingSession
     from repro.experiments.measure import loss_correlation
+    from repro.experiments.scenarios import build_run
     from repro.sim.trace import PacketTrace
 
-    session = StreamingSession(
-        mu=setting.mu, duration_s=profile.duration_s,
-        paths=setting.path_configs(),
-        shared_bottleneck=setting.shared_bottleneck, seed=seed)
-    trace = session.attach_packet_trace(PacketTrace(events={"drop"}))
-    session.run()
+    run = build_run(setting.mu, profile.duration_s,
+                    setting.path_configs(),
+                    shared_bottleneck=setting.shared_bottleneck, seed=seed)
+    trace = run.attach_packet_trace(PacketTrace(events={"drop"}))
+    run.run()
     flows = []
-    for conn in session.connections:
+    for conn in run.assemblies[0].connections:
         sender = conn.sender
         flows.append((sender.node.name, sender.port,
                       sender.dst_name, sender.dst_port))

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro import telemetry
-from repro.core.session import PathConfig, StreamingSession
 from repro.experiments.parallel import ReplicationExecutor
 from repro.experiments.runner import (
     MEASURED_LOSS_MODEL,
@@ -37,9 +36,10 @@ from repro.experiments.runner import (
     ScaleProfile,
     scale_profile,
 )
+from repro.experiments.scenarios import build_run
 from repro.model.dmp_model import DmpModel
 from repro.model.tcp_chain import FlowParams
-from repro.sim.topology import BottleneckSpec
+from repro.sim.topology import BottleneckSpec, PathConfig
 
 INTERNET_SEGMENT_BYTES = 1448
 DEFAULT_TAUS = (4.0, 6.0, 8.0, 10.0)
@@ -105,12 +105,10 @@ def _run_experiment_body(spec: _ExperimentSpec) \
     # default 16-packet send buffer would cap the in-flight window
     # below fair share (and hide the true loss rate from the
     # measurement), so size it to cover the largest path BDP.
-    session = StreamingSession(
-        mu=spec.mu, duration_s=spec.duration_s,
-        paths=list(spec.paths), scheme="dmp", seed=spec.seed,
-        segment_bytes=INTERNET_SEGMENT_BYTES,
-        send_buffer_pkts=48)
-    run = session.run()
+    (run,) = build_run(
+        spec.mu, spec.duration_s, list(spec.paths), scheme="dmp",
+        seed=spec.seed, segment_bytes=INTERNET_SEGMENT_BYTES,
+        send_buffer_pkts=48).run().sessions
 
     measured = [{
         "p": stats["loss_event_estimate"],

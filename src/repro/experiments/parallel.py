@@ -2,10 +2,11 @@
 
 The paper's methodology is 30 replications x 10,000 simulated seconds
 per setting; each replication is an independent pure function of its
-seed, so the natural unit of parallelism is one ``StreamingSession``
-run (and, on the model side, one ``late_fraction_mc`` solve per
-startup delay).  :class:`ReplicationExecutor` fans those units out over
-a ``concurrent.futures.ProcessPoolExecutor``.
+seed, so the natural unit of parallelism is one packet run (one
+:class:`~repro.core.campaign.MultiSessionCampaign`) and, on the model
+side, one ``late_fraction_mc`` solve per startup delay.
+:class:`ReplicationExecutor` fans those units out over a
+``concurrent.futures.ProcessPoolExecutor``.
 
 Determinism is the contract: replication ``run`` always gets seed
 ``seed0 + run`` and the per-run work is executed by the *same*
@@ -44,10 +45,9 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple, TypeVar)
 
 from repro import telemetry
-from repro.core.campaign import MultiSessionCampaign
-from repro.core.session import StreamingSession
 from repro.experiments.cache import session_record
 from repro.experiments.configs import Setting
+from repro.experiments.scenarios import build_run
 from repro.model.dmp_model import DmpModel, LateFractionEstimate
 from repro.model.tcp_chain import FlowParams
 
@@ -93,84 +93,49 @@ def simulate_run(spec: RunSpec) -> Dict[str, Any]:
     """Run one replication; returns a JSON-able record.
 
     The record is exactly what the cache stores (see
-    :mod:`repro.experiments.cache`): the per-flow stats and the
-    session's arrivals, which answer every startup delay.  A
-    multi-session setting (``n_sessions > 1``) runs one whole campaign
-    per replication and records every session's arrivals.
-    """
-    if spec.setting.backend != "packet":
-        raise ValueError(
-            f"simulate_run got backend={spec.setting.backend!r}; "
-            "mean-field settings are solved deterministically by "
-            "repro.experiments.campaign.run_campaign, never fanned "
-            "out as replications")
-    if spec.setting.n_sessions > 1:
-        return _simulate_campaign_run(spec)
-    tel = telemetry.current()
-    with tel.span("replication", label=spec.setting.name,
-                  scheme=spec.scheme, seed=spec.seed,
-                  duration_s=spec.duration_s):
-        session = StreamingSession(
-            mu=spec.setting.mu, duration_s=spec.duration_s,
-            paths=spec.setting.path_configs(), scheme=spec.scheme,
-            shared_bottleneck=spec.setting.shared_bottleneck,
-            seed=spec.seed, send_buffer_pkts=spec.send_buffer_pkts,
-            queue_discipline=spec.setting.queue_discipline)
-        counters = session.attach_counters() if spec.counters else None
-        result = session.run()
-        record: Dict[str, Any] = {
-            "flow_stats": result.flow_stats,
-            "sessions": [session_record(result.total_packets,
-                                        result.arrivals)]}
-        if counters is not None:
-            record["counters"] = counters.as_dict()
-        return record
+    :mod:`repro.experiments.cache`): every session's per-flow stats
+    and arrivals, which answer every startup delay.  A multi-session
+    setting (``n_sessions > 1``) runs one whole campaign per
+    replication.
 
-
-def _simulate_campaign_run(spec: RunSpec) -> Dict[str, Any]:
-    """One replication of a multi-session campaign setting.
-
-    The first entry of ``setting.configs`` supplies the shared fan-in
-    bottleneck and its background load; ``len(setting.configs)`` is the
-    per-session path count (every path of every session crosses the one
-    bottleneck, so heterogeneous per-path configs have no meaning
-    here).  The record stores every session's arrivals.
-
-    Every campaign replication additionally runs with the streaming
-    :class:`~repro.obs.health.HealthAggregator` attached and stores its
+    Campaign replications additionally run with the streaming
+    :class:`~repro.obs.health.HealthAggregator` attached and store its
     ``health`` rollup — per-session QoE rows plus mergeable log
     histograms at :data:`HEALTH_REFERENCE_TAU` — so
     :func:`repro.experiments.campaign.run_campaign` can merge
     worker-local rollups in submit order into a population view that
     is bit-identical between serial and ``--workers N`` runs.
     """
-    tel = telemetry.current()
     setting = spec.setting
+    if setting.backend != "packet":
+        raise ValueError(
+            f"simulate_run got backend={setting.backend!r}; "
+            "mean-field settings are solved deterministically by "
+            "repro.experiments.campaign.run_campaign, never fanned "
+            "out as replications")
+    tel = telemetry.current()
     with tel.span("replication", label=setting.name,
                   scheme=spec.scheme, seed=spec.seed,
                   duration_s=spec.duration_s):
-        path = setting.path_configs()[0]
-        campaign = MultiSessionCampaign(
-            mu=setting.mu, duration_s=spec.duration_s,
-            n_sessions=setting.n_sessions,
-            bottleneck=path.bottleneck,
-            paths_per_session=len(setting.configs),
-            scheme=spec.scheme,
-            queue_discipline=setting.queue_discipline,
-            seed=spec.seed,
+        run = build_run(
+            setting.mu, spec.duration_s, setting.path_configs(),
+            n_sessions=setting.n_sessions, scheme=spec.scheme,
+            shared_bottleneck=setting.shared_bottleneck,
+            queue_discipline=setting.queue_discipline, seed=spec.seed,
             churn_rate=setting.churn_rate,
-            n_ftp=path.n_ftp, n_http=path.n_http,
             send_buffer_pkts=spec.send_buffer_pkts)
-        counters = campaign.attach_counters() if spec.counters else None
-        aggregator = campaign.attach_health(tau=HEALTH_REFERENCE_TAU)
-        result = campaign.run()
+        counters = run.attach_counters() if spec.counters else None
+        aggregator = run.attach_health(tau=HEALTH_REFERENCE_TAU) \
+            if setting.n_sessions > 1 else None
+        result = run.run()
         record: Dict[str, Any] = {
             "flow_stats": [stats for s in result.sessions
                            for stats in s.flow_stats],
             "sessions": [session_record(s.total_packets, s.arrivals)
                          for s in result.sessions],
-            "health": {"rollup": aggregator.rollup()},
         }
+        if aggregator is not None:
+            record["health"] = {"rollup": aggregator.rollup()}
         if counters is not None:
             record["counters"] = counters.as_dict()
         return record

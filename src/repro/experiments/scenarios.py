@@ -1,8 +1,9 @@
 """Config-driven experiment scenarios.
 
 A scenario is a plain dict (JSON/YAML-friendly) describing a complete
-streaming experiment; :func:`build_session` turns it into a ready
-:class:`~repro.core.session.StreamingSession` and
+streaming experiment; :func:`build_scenario` turns it into a ready
+:class:`~repro.core.campaign.MultiSessionCampaign` (through
+:func:`build_run`, the packet-run builder every entry point uses) and
 :func:`run_scenario` executes it and summarises the results.  This is
 the adoption-friendly front door: downstream users describe topologies
 declaratively instead of wiring simulator objects.
@@ -28,10 +29,9 @@ Example scenario::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, Sequence
 
 from repro.core.campaign import MultiSessionCampaign
-from repro.core.session import PathConfig, StreamingSession
 from repro.model.meanfield import (
     BACKENDS,
     MEANFIELD_DISCIPLINES,
@@ -39,7 +39,7 @@ from repro.model.meanfield import (
     solve_meanfield,
 )
 from repro.sim.queueing import QUEUE_DISCIPLINES
-from repro.sim.topology import ACCESS_DELAY_S, BottleneckSpec
+from repro.sim.topology import ACCESS_DELAY_S, BottleneckSpec, PathConfig
 
 REQUIRED_KEYS = ("mu", "duration_s", "paths")
 KNOWN_KEYS = {
@@ -48,6 +48,11 @@ KNOWN_KEYS = {
     "warmup_s", "static_weights", "client_buffer_pkts", "client_tau",
     "name", "queue_discipline", "n_sessions", "churn_rate", "backend",
 }
+#: Scenario keys passed on to the run builder as options.
+RUN_KEYS = ("scheme", "tcp_variant", "seed", "shared_bottleneck",
+            "send_buffer_pkts", "segment_bytes", "warmup_s",
+            "static_weights", "client_buffer_pkts", "client_tau",
+            "queue_discipline", "churn_rate")
 PATH_KEYS = {"bandwidth_mbps", "delay_ms", "buffer_pkts", "ftp_flows",
              "http_flows"}
 DEFAULT_TAUS = (4.0, 6.0, 8.0, 10.0)
@@ -142,66 +147,46 @@ def validate_scenario(scenario: Dict[str, Any]) -> None:
             _fail("backend 'meanfield' models the DMP scheme only")
 
 
-def build_session(scenario: Dict[str, Any]) -> StreamingSession:
-    """Construct the session a scenario describes."""
-    validate_scenario(scenario)
-    if scenario.get("backend", "packet") != "packet":
-        raise ScenarioError(
-            "build_session constructs packet-level sessions; "
-            "mean-field scenarios run through run_scenario")
-    if int(scenario.get("n_sessions", 1)) > 1:
-        raise ScenarioError(
-            "n_sessions > 1 describes a campaign; use build_campaign")
-    paths = [parse_path(spec, i)
-             for i, spec in enumerate(scenario["paths"])]
-    kwargs: Dict[str, Any] = {}
-    for key in ("scheme", "tcp_variant", "seed", "shared_bottleneck",
-                "send_buffer_pkts", "segment_bytes", "warmup_s",
-                "static_weights", "client_buffer_pkts", "client_tau",
-                "queue_discipline"):
-        if key in scenario:
-            kwargs[key] = scenario[key]
-    return StreamingSession(
-        mu=float(scenario["mu"]),
-        duration_s=float(scenario["duration_s"]),
-        paths=paths, **kwargs)
+def build_run(mu: float, duration_s: float, paths: Sequence[PathConfig],
+              n_sessions: int = 1, shared_bottleneck: bool = False,
+              **options: Any) -> MultiSessionCampaign:
+    """The one packet-run builder behind every entry point.
 
-
-def build_campaign(scenario: Dict[str, Any]) -> MultiSessionCampaign:
-    """Construct the multi-session campaign a scenario describes.
-
-    The first path spec supplies the shared fan-in bottleneck and its
-    background load; ``len(paths)`` is the per-session path count.
+    One session runs on the paper's topology over ``paths`` (Fig. 3,
+    or Fig. 6 with ``shared_bottleneck``).  With ``n_sessions > 1``
+    the sessions fan into one bottleneck, shared by construction: the
+    first path supplies its spec and background load, and
+    ``len(paths)`` is the per-session path count.  ``options`` are
+    passed on to :class:`~repro.core.campaign.MultiSessionCampaign`.
     """
+    if n_sessions == 1:
+        return MultiSessionCampaign(
+            mu, duration_s, paths=paths,
+            shared_bottleneck=shared_bottleneck, **options)
+    first = paths[0]
+    return MultiSessionCampaign(
+        mu, duration_s, n_sessions=n_sessions,
+        bottleneck=first.bottleneck, paths_per_session=len(paths),
+        n_ftp=first.n_ftp, n_http=first.n_http, **options)
+
+
+def build_scenario(scenario: Dict[str, Any]) -> MultiSessionCampaign:
+    """Construct the packet-level run a scenario describes."""
     validate_scenario(scenario)
     if scenario.get("backend", "packet") != "packet":
         raise ScenarioError(
-            "build_campaign constructs packet-level campaigns; "
+            "build_scenario constructs packet-level runs; "
             "mean-field scenarios run through run_scenario")
-    n_sessions = int(scenario.get("n_sessions", 1))
-    if n_sessions < 2:
-        raise ScenarioError(
-            "build_campaign needs n_sessions > 1; use build_session")
-    path = parse_path(scenario["paths"][0], 0)
-    kwargs: Dict[str, Any] = {}
-    for key in ("scheme", "tcp_variant", "seed", "send_buffer_pkts",
-                "segment_bytes", "warmup_s", "client_buffer_pkts",
-                "client_tau", "queue_discipline", "churn_rate"):
-        if key in scenario:
-            kwargs[key] = scenario[key]
-    return MultiSessionCampaign(
-        mu=float(scenario["mu"]),
-        duration_s=float(scenario["duration_s"]),
-        n_sessions=n_sessions,
-        bottleneck=path.bottleneck,
-        paths_per_session=len(scenario["paths"]),
-        n_ftp=path.n_ftp, n_http=path.n_http, **kwargs)
+    return build_run(
+        float(scenario["mu"]), float(scenario["duration_s"]),
+        [parse_path(spec, i) for i, spec in enumerate(scenario["paths"])],
+        n_sessions=int(scenario.get("n_sessions", 1)),
+        **{key: scenario[key] for key in RUN_KEYS if key in scenario})
 
 
 def run_campaign_scenario(scenario: Dict[str, Any]) -> Dict[str, Any]:
     """Run a campaign scenario; summary carries population metrics."""
-    campaign = build_campaign(scenario)
-    result = campaign.run()
+    result = build_scenario(scenario).run()
     taus = [float(t) for t in scenario.get("taus", DEFAULT_TAUS)]
     summary: Dict[str, Any] = {
         "name": scenario.get("name", "scenario"),
@@ -231,7 +216,7 @@ def run_meanfield_scenario(scenario: Dict[str, Any]) -> Dict[str, Any]:
     """Solve a mean-field campaign scenario deterministically.
 
     The first path spec supplies the shared bottleneck (mirroring
-    :func:`build_campaign`); the deterministic population ODE of
+    :func:`build_run`); the deterministic population ODE of
     :mod:`repro.model.meanfield` replaces the packet simulation, so
     the summary carries one degenerate population per tau (every
     session sees the same limit trajectory) and no per-flow stats.
@@ -279,27 +264,27 @@ def run_scenario(scenario: Dict[str, Any]) -> Dict[str, Any]:
         return run_meanfield_scenario(scenario)
     if int(scenario.get("n_sessions", 1)) > 1:
         return run_campaign_scenario(scenario)
-    session = build_session(scenario)
-    result = session.run()
+    result = build_scenario(scenario).run()
+    (session,) = result.sessions
     taus = [float(t) for t in scenario.get("taus", DEFAULT_TAUS)]
     summary: Dict[str, Any] = {
         "name": scenario.get("name", "scenario"),
         "mu": result.mu,
         "scheme": result.scheme,
-        "total_packets": result.total_packets,
-        "arrived_packets": len(result.arrivals),
-        "path_shares": [float(s) for s in result.path_shares],
+        "total_packets": session.total_packets,
+        "arrived_packets": len(session.arrivals),
+        "path_shares": [float(s) for s in session.path_shares],
         "flows": [
             {
                 "name": stats["name"],
                 "loss_event_rate": stats["loss_event_estimate"],
                 "mean_rtt_s": stats["mean_rtt"],
                 "timeout_ratio": stats["timeout_ratio"],
-            } for stats in result.flow_stats],
+            } for stats in session.flow_stats],
         "late_fraction": {},
     }
     for tau in taus:
-        metrics = result.metrics(tau)
+        metrics = session.metrics(tau)
         summary["late_fraction"][f"{tau:g}"] = {
             "playback_order": metrics.late_fraction,
             "arrival_order": metrics.arrival_order_late_fraction,

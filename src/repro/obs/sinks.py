@@ -7,8 +7,9 @@
 * :class:`CountersSink` — a per-topic event counter registry.
 * :class:`JsonlSink` — streams every event as one JSON line; memory is
   bounded because records go straight to the file handle.
-* :class:`RecordingSink` — keeps raw ``(topic, time, values)`` triples
-  in memory; the workhorse of determinism tests.
+* :class:`RecordingSink` — keeps ``(topic, time, values)`` triples in
+  memory, packets snapshotted at emission; the workhorse of
+  determinism tests.
 """
 
 from __future__ import annotations
@@ -78,7 +79,12 @@ class CountersSink:
 
 
 class RecordingSink:
-    """Keep every event in memory as ``(topic, time, values)``."""
+    """Keep every event in memory as ``(topic, time, values)``.
+
+    A :class:`~repro.sim.packet.Packet` value is recorded as its
+    :meth:`~repro.sim.packet.Packet.snapshot`, so a pooled run cannot
+    rewrite what was recorded when it recycles the packet.
+    """
 
     def __init__(self, patterns: Sequence[str] = ("*",)) -> None:
         self.patterns: Tuple[str, ...] = tuple(patterns)
@@ -86,7 +92,9 @@ class RecordingSink:
 
     def __call__(self, topic: str, time: float,
                  values: Tuple[Any, ...]) -> None:
-        self.events.append((topic, time, values))
+        self.events.append((topic, time, tuple(
+            v.snapshot() if isinstance(v, Packet) else v
+            for v in values)))
 
 
 def _jsonify(value: Any) -> Any:

@@ -78,6 +78,16 @@ class Packet:
     def is_ack(self) -> bool:
         return "ACK" in self.flags
 
+    def snapshot(self) -> "Packet":
+        """A detached copy (with its own ``flags`` set): recycling this
+        instance through a :class:`~repro.sim.pool.PacketPool` cannot
+        rewrite it."""
+        copy = Packet.__new__(Packet)
+        for name in Packet.__slots__:
+            setattr(copy, name, getattr(self, name))
+        copy.flags = set(self.flags)
+        return copy
+
     def flow_key(self) -> Tuple[str, int, str, int]:
         """Identify the unidirectional flow this packet belongs to."""
         return (self.src, self.sport, self.dst, self.dport)

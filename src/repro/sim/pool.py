@@ -17,13 +17,16 @@ Ownership contract (who releases):
   fields, so both are safe);
 * dead-lettered packets are released by the node.
 
-The pool is **opt-in** (``Simulator.pool`` defaults to ``None``)
-because recycling breaks sinks that retain raw packet references
-across events — :class:`repro.obs.sinks.RecordingSink` in particular.
-:class:`~repro.obs.sinks.TraceSink` copies fields at record time and
-is safe.  Each acquisition stamps a fresh ``uid`` so traces and
-dedup logic never see two live packets (or one packet's two lives)
-under one identity.
+Every :class:`~repro.core.campaign.MultiSessionCampaign` installs a
+pool; a bare :class:`~repro.sim.engine.Simulator` has none
+(``Simulator.pool`` defaults to ``None``).  A sink must not keep a
+raw packet reference across events: every bundled sink copies the
+fields it keeps at emission time (:class:`~repro.obs.sinks.TraceSink`
+and the flight recorder project them;
+:class:`~repro.obs.sinks.RecordingSink` keeps a
+:meth:`~repro.sim.packet.Packet.snapshot`).  Each acquisition stamps a
+fresh ``uid`` so traces and dedup logic never see two live packets
+(or one packet's two lives) under one identity.
 """
 
 from __future__ import annotations

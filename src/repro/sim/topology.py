@@ -1,4 +1,4 @@
-"""Topology builders for the paper's validation settings.
+"""Topology builders for the paper's validation settings and campaigns.
 
 Two topologies are used in Section 5:
 
@@ -8,9 +8,21 @@ Two topologies are used in Section 5:
 * Fig. 6 — *correlated paths*: both video TCP flows traverse the same
   single bottleneck ``r1 -> r2``.
 
+A third, :class:`FanInTopology`, fans N sessions into one bottleneck
+for population campaigns.
+
 Multihoming is modelled by giving the client one node (interface) per
 path; agents may bind to several interfaces at once.  Access links are
 100 Mbps with 10 ms propagation delay as in the paper.
+
+Every builder exposes the same three handles, which is all
+:class:`~repro.core.campaign.MultiSessionCampaign` needs to run on any
+of them:
+
+* ``sessions`` — per session, the list of its paths' :class:`PathHandles`;
+* ``bottlenecks`` — one ``(forward, reverse)`` link pair per bottleneck;
+* ``background`` — one :class:`BackgroundHosts` per bottleneck whose
+  background load is configured separately.
 """
 
 from __future__ import annotations
@@ -63,6 +75,28 @@ class BottleneckSpec:
 
 
 @dataclass
+class PathConfig:
+    """One path: its bottleneck link plus the background load on it."""
+
+    bottleneck: BottleneckSpec
+    n_ftp: int = 0
+    n_http: int = 0
+
+
+@dataclass
+class BackgroundHosts:
+    """The host pair whose FTP/HTTP flows load one bottleneck.
+
+    ``tag`` goes into the background flow names (``"ftp1.0"``;
+    ``"ftp.0"`` for the empty tag).
+    """
+
+    tag: str
+    source: Node
+    sink: Node
+
+
+@dataclass
 class PathHandles:
     """Attachment points for one server->client path."""
 
@@ -91,6 +125,12 @@ class IndependentPathsTopology:
         self.paths: List[PathHandles] = []
         for k, spec in enumerate(specs, start=1):
             self.paths.append(self._build_path(k, spec))
+        self.sessions = [self.paths]
+        self.bottlenecks = [(h.bottleneck_fwd, h.bottleneck_rev)
+                            for h in self.paths]
+        self.background = [
+            BackgroundHosts(str(h.index), h.bg_source_host,
+                            h.bg_sink_host) for h in self.paths]
 
     def _build_path(self, k: int, spec: BottleneckSpec) -> PathHandles:
         sim = self.sim
@@ -179,8 +219,6 @@ class SharedBottleneckTopology:
             self.client.add_route(dst_name, client_up)
             bg_sink.add_route(dst_name, bg_sink_up)
 
-        self.ingress_router = r1
-        self.egress_router = r2
         self.bottleneck_fwd = fwd
         self.bottleneck_rev = rev
         self.bg_source_host = bg_src
@@ -192,6 +230,9 @@ class SharedBottleneckTopology:
             bottleneck_rev=rev, bg_source_host=bg_src,
             bg_sink_host=bg_sink)
         self.paths = [shared] * n_paths
+        self.sessions = [self.paths]
+        self.bottlenecks = [(fwd, rev)]
+        self.background = [BackgroundHosts("1", bg_src, bg_sink)]
 
 
 class FanInTopology:
@@ -251,8 +292,8 @@ class FanInTopology:
         self.egress_router = r2
         self.bottleneck_fwd = fwd
         self.bottleneck_rev = rev
-        self.bg_source_host = bg_src
-        self.bg_sink_host = bg_sink
+        self.bottlenecks = [(fwd, rev)]
+        self.background = [BackgroundHosts("", bg_src, bg_sink)]
 
         #: Per-session path handles: ``sessions[i]`` is the list of
         #: ``paths_per_session`` handles for session ``i`` (0-based).
@@ -263,6 +304,7 @@ class FanInTopology:
     def _build_session(self, i: int) -> List[PathHandles]:
         sim = self.sim
         r1, r2 = self.ingress_router, self.egress_router
+        bg = self.background[0]
         server = Node(sim, f"srv{i}")
         server_up, server_down = duplex_link(
             sim, server, r1, ACCESS_BANDWIDTH_BPS, ACCESS_DELAY_S,
@@ -286,6 +328,5 @@ class FanInTopology:
                 ingress_router=r1, egress_router=r2,
                 bottleneck_fwd=self.bottleneck_fwd,
                 bottleneck_rev=self.bottleneck_rev,
-                bg_source_host=self.bg_source_host,
-                bg_sink_host=self.bg_sink_host))
+                bg_source_host=bg.source, bg_sink_host=bg.sink))
         return handles

@@ -1,8 +1,9 @@
-"""Integration tests for end-to-end streaming sessions."""
+"""Integration tests for end-to-end one-session runs on the paper's
+topologies (``MultiSessionCampaign(paths=...)``)."""
 
 import pytest
 
-from repro import BottleneckSpec, PathConfig, StreamingSession
+from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
 
 FAST = BottleneckSpec(bandwidth_bps=2e6, delay_s=0.005, buffer_pkts=40)
 SLOW = BottleneckSpec(bandwidth_bps=6e5, delay_s=0.005, buffer_pkts=25)
@@ -12,21 +13,25 @@ def two_paths(spec=FAST, n_ftp=1, n_http=2):
     return [PathConfig(bottleneck=spec, n_ftp=n_ftp, n_http=n_http)] * 2
 
 
+def run_session(**kwargs):
+    """Run one session; its :class:`SessionSummary`."""
+    (session,) = MultiSessionCampaign(**kwargs).run().sessions
+    return session
+
+
 def test_dmp_session_delivers_everything_when_uncongested():
-    session = StreamingSession(mu=40, duration_s=30,
-                               paths=two_paths(n_ftp=0, n_http=0),
-                               scheme="dmp", seed=1)
-    result = session.run()
+    result = run_session(mu=40, duration_s=30,
+                         paths=two_paths(n_ftp=0, n_http=0),
+                         scheme="dmp", seed=1)
     assert len(result.arrivals) == result.total_packets == 1200
     assert result.late_fraction(2.0) == 0.0
     assert result.metrics(2.0).out_of_order_packets >= 0
 
 
 def test_session_arrival_times_relative_to_video_start():
-    session = StreamingSession(mu=20, duration_s=10,
-                               paths=two_paths(n_ftp=0, n_http=0),
-                               scheme="dmp", seed=1, warmup_s=15.0)
-    result = session.run()
+    result = run_session(mu=20, duration_s=10,
+                         paths=two_paths(n_ftp=0, n_http=0),
+                         scheme="dmp", seed=1, warmup_s=15.0)
     numbers = [n for n, _ in result.arrivals]
     times = [t for _, t in result.arrivals]
     assert min(numbers) == 0
@@ -36,9 +41,8 @@ def test_session_arrival_times_relative_to_video_start():
 
 
 def test_session_flow_stats_present():
-    session = StreamingSession(mu=40, duration_s=20,
-                               paths=two_paths(), seed=2)
-    result = session.run()
+    result = run_session(mu=40, duration_s=20,
+                         paths=two_paths(), seed=2)
     assert len(result.flow_stats) == 2
     for stats in result.flow_stats:
         assert stats["segments_sent"] > 0
@@ -47,9 +51,8 @@ def test_session_flow_stats_present():
 
 def test_session_congested_paths_produce_late_packets():
     paths = [PathConfig(bottleneck=SLOW, n_ftp=3, n_http=5)] * 2
-    session = StreamingSession(mu=60, duration_s=60, paths=paths,
-                               seed=3)
-    result = session.run()
+    result = run_session(mu=60, duration_s=60, paths=paths,
+                         seed=3)
     assert result.late_fraction(1.0) > 0
     # Monotone in tau.
     taus = [1.0, 2.0, 4.0, 8.0]
@@ -58,56 +61,58 @@ def test_session_congested_paths_produce_late_packets():
 
 
 def test_static_scheme_runs():
-    session = StreamingSession(mu=40, duration_s=20,
-                               paths=two_paths(), scheme="static",
-                               seed=4)
-    result = session.run()
-    assert result.scheme == "static"
+    session = MultiSessionCampaign(mu=40, duration_s=20,
+                                   paths=two_paths(), scheme="static",
+                                   seed=4)
+    run = session.run()
+    (result,) = run.sessions
+    assert run.scheme == "static"
     assert len(result.arrivals) > 0
-    assigned = session.streamer.assigned_per_path
+    assigned = session.assemblies[0].streamer.assigned_per_path
     assert abs(assigned[0] - assigned[1]) <= 1
 
 
 def test_single_path_scheme():
     paths = [PathConfig(bottleneck=FAST, n_ftp=0, n_http=0)]
-    session = StreamingSession(mu=40, duration_s=10, paths=paths,
-                               scheme="single", seed=5)
-    result = session.run()
+    result = run_session(mu=40, duration_s=10, paths=paths,
+                         scheme="single", seed=5)
     assert len(result.arrivals) == result.total_packets
     assert result.path_shares == [1.0]
 
 
 def test_single_path_requires_one_path():
     with pytest.raises(ValueError):
-        StreamingSession(mu=10, duration_s=5, paths=two_paths(),
-                         scheme="single")
+        MultiSessionCampaign(mu=10, duration_s=5, paths=two_paths(),
+                             scheme="single")
 
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
-        StreamingSession(mu=10, duration_s=5, paths=two_paths(),
-                         scheme="quantum")
+        MultiSessionCampaign(mu=10, duration_s=5, paths=two_paths(),
+                             scheme="quantum")
 
 
 def test_shared_bottleneck_session():
     paths = [PathConfig(bottleneck=FAST, n_ftp=1, n_http=2)] * 2
-    session = StreamingSession(mu=40, duration_s=20, paths=paths,
-                               shared_bottleneck=True, seed=6)
-    result = session.run()
-    assert len(result.bottleneck_drop_fractions) == 1
+    session = MultiSessionCampaign(mu=40, duration_s=20, paths=paths,
+                                   shared_bottleneck=True, seed=6)
+    run = session.run()
+    (result,) = run.sessions
+    assert len(session.topology.bottlenecks) == 1
+    assert 0.0 <= run.bottleneck_drop_fraction <= 1.0
     assert len(result.flow_stats) == 2
     assert len(result.arrivals) > 0
 
 
 def test_sessions_reproducible_by_seed():
     kwargs = dict(mu=30, duration_s=15, paths=two_paths(), seed=42)
-    first = StreamingSession(**kwargs).run()
-    second = StreamingSession(**kwargs).run()
+    first = run_session(**kwargs)
+    second = run_session(**kwargs)
     assert first.arrivals == second.arrivals
 
 
 def test_different_seeds_differ():
     base = dict(mu=30, duration_s=15, paths=two_paths())
-    first = StreamingSession(seed=1, **base).run()
-    second = StreamingSession(seed=2, **base).run()
+    first = run_session(seed=1, **base)
+    second = run_session(seed=2, **base)
     assert first.arrivals != second.arrivals

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import BottleneckSpec, PathConfig, StreamingSession
+from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
 from repro.experiments.measure import (
     data_records,
     estimate_all_flows,
@@ -19,11 +19,11 @@ def traced_session(seed=3):
     spec = BottleneckSpec(bandwidth_bps=8e5, delay_s=0.01,
                           buffer_pkts=15)
     paths = [PathConfig(bottleneck=spec, n_ftp=2, n_http=3)] * 2
-    session = StreamingSession(mu=40, duration_s=120, paths=paths,
-                               seed=seed)
-    trace = session.attach_packet_trace()
-    result = session.run()
-    return session, result, trace
+    campaign = MultiSessionCampaign(mu=40, duration_s=120, paths=paths,
+                                    seed=seed)
+    trace = campaign.attach_packet_trace()
+    (result,) = campaign.run().sessions
+    return campaign.assemblies[0], result, trace
 
 
 def video_flow_key(session, idx):

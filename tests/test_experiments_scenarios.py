@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.scenarios import (
     ScenarioError,
-    build_session,
+    build_scenario,
     load_scenario,
     run_scenario,
     validate_scenario,
@@ -64,10 +64,10 @@ def test_bad_values():
         validate_scenario(dict(GOOD, taus=[-1]))
 
 
-def test_build_session_wires_everything():
-    session = build_session(GOOD)
+def test_build_scenario_wires_everything():
+    session = build_scenario(GOOD)
     assert session.mu == 40
-    assert len(session.connections) == 2
+    assert len(session.assemblies[0].connections) == 2
     assert session.scheme == "dmp"
 
 
@@ -81,16 +81,16 @@ def test_unknown_queue_discipline_rejected():
 def test_queue_discipline_reaches_the_bottleneck():
     from repro.sim.queueing import FQPIEQueue, PIEQueue
 
-    session = build_session(dict(GOOD, queue_discipline="pie"))
+    session = build_scenario(dict(GOOD, queue_discipline="pie"))
     assert session.queue_discipline == "pie"
-    for handles in session.topology.paths:
-        assert isinstance(handles.bottleneck_fwd.queue, PIEQueue)
-        assert isinstance(handles.bottleneck_rev.queue, PIEQueue)
-    session = build_session(dict(GOOD, queue_discipline="fq-pie"))
+    for fwd, rev in session.topology.bottlenecks:
+        assert isinstance(fwd.queue, PIEQueue)
+        assert isinstance(rev.queue, PIEQueue)
+    session = build_scenario(dict(GOOD, queue_discipline="fq-pie"))
     assert isinstance(
-        session.topology.paths[0].bottleneck_fwd.queue, FQPIEQueue)
+        session.topology.bottlenecks[0][0].queue, FQPIEQueue)
     # The default stays the paper's drop-tail.
-    session = build_session(GOOD)
+    session = build_scenario(GOOD)
     assert session.queue_discipline == "droptail"
 
 
@@ -173,7 +173,4 @@ def test_meanfield_scenario_validation():
 
 def test_builders_reject_meanfield_scenarios():
     with pytest.raises(ScenarioError, match="run_scenario"):
-        build_session(MEANFIELD)
-    from repro.experiments.scenarios import build_campaign
-    with pytest.raises(ScenarioError, match="run_scenario"):
-        build_campaign(MEANFIELD)
+        build_scenario(MEANFIELD)

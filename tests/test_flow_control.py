@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import BottleneckSpec, PathConfig, StreamingSession
+from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
 from repro.core.client import BufferedStreamClient
 from repro.sim.engine import Simulator
 from repro.sim.link import duplex_link
@@ -96,14 +96,14 @@ FAST = BottleneckSpec(bandwidth_bps=2e6, delay_s=0.005,
 
 def test_session_with_finite_client_buffer():
     paths = [PathConfig(bottleneck=FAST)] * 2
-    session = StreamingSession(mu=40, duration_s=30, paths=paths,
-                               seed=3, client_buffer_pkts=100,
-                               client_tau=4.0)
-    result = session.run()
+    session = MultiSessionCampaign(mu=40, duration_s=30, paths=paths,
+                                   seed=3, client_buffer_pkts=100,
+                                   client_tau=4.0)
+    (result,) = session.run().sessions
     # Everything still arrives (back-pressure, not loss).
     assert len(result.arrivals) == result.total_packets
     # The buffer bound was respected throughout.
-    client = session.client
+    client = session.assemblies[0].client
     assert client.capacity == 100
 
 
@@ -114,10 +114,10 @@ def test_tight_client_buffer_forces_lateness():
         bandwidth_bps=9e5, delay_s=0.01, buffer_pkts=30),
         n_ftp=1, n_http=2)] * 2
     tau = 6.0
-    roomy = StreamingSession(mu=60, duration_s=60, paths=paths,
-                             seed=5, client_buffer_pkts=1000,
-                             client_tau=tau).run()
-    tight = StreamingSession(mu=60, duration_s=60, paths=paths,
-                             seed=5, client_buffer_pkts=10,
-                             client_tau=tau).run()
+    (roomy,) = MultiSessionCampaign(mu=60, duration_s=60, paths=paths,
+                                    seed=5, client_buffer_pkts=1000,
+                                    client_tau=tau).run().sessions
+    (tight,) = MultiSessionCampaign(mu=60, duration_s=60, paths=paths,
+                                    seed=5, client_buffer_pkts=10,
+                                    client_tau=tau).run().sessions
     assert tight.late_fraction(tau) >= roomy.late_fraction(tau)

@@ -103,12 +103,12 @@ def test_claim_two_half_paths_replace_one_fat_path():
 def test_claim_out_of_order_negligible_in_simulation():
     """'out-of-order packets only have a negligible effect on the
     fraction of late packets' (Sec 4.1) — checked on a live run."""
-    from repro import BottleneckSpec, PathConfig, StreamingSession
+    from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
     spec = BottleneckSpec(bandwidth_bps=1.2e6, delay_s=0.01,
                           buffer_pkts=30)
     paths = [PathConfig(bottleneck=spec, n_ftp=1, n_http=4)] * 2
-    result = StreamingSession(mu=50, duration_s=120, paths=paths,
-                              seed=5).run()
+    (result,) = MultiSessionCampaign(mu=50, duration_s=120, paths=paths,
+                                     seed=5).run().sessions
     for tau in (2.0, 4.0):
         metrics = result.metrics(tau)
         playback = metrics.late_fraction

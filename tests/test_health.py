@@ -16,9 +16,10 @@ from repro.obs.bus import EventBus
 from repro.obs.export import (health_table, html_dashboard,
                               prometheus_exposition,
                               validate_exposition)
-from repro.obs.health import HealthAggregator, SessionMeta
+from repro.obs.health import HealthAggregator, SessionMeta, hist_of
 from repro.obs.recorder import Trigger
-from repro.sim.topology import BottleneckSpec
+from repro.obs.sampler import TimeSeriesSampler
+from repro.sim.topology import BottleneckSpec, PathConfig
 
 #: A bottleneck sized well below the offered load (4 sessions x
 #: 2 paths x 10 pkt/s x 1500 B = ~960 kbps offered over 400 kbps), so
@@ -160,6 +161,68 @@ class TestExporters:
         page = html_dashboard(aggregator.rollup(), title="t")
         assert page.startswith("<!DOCTYPE html>")
         assert "src=" not in page and "href=" not in page
+
+
+class TestPaperTopologies:
+    """Health rollups and the flight recorder on one-session runs of
+    the paper's Fig. 3 (independent) and Fig. 6 (shared) topologies."""
+
+    TAU = 1.0
+    SAMPLE_S = 0.25
+
+    @pytest.fixture(scope="class", params=[False, True],
+                    ids=["fig3", "fig6"])
+    def paper_run(self, request):
+        path = PathConfig(bottleneck=BottleneckSpec(
+            bandwidth_bps=300_000.0, delay_s=0.02, buffer_pkts=20),
+            n_ftp=2)
+        campaign = MultiSessionCampaign(
+            mu=20.0, duration_s=10.0, paths=[path, path],
+            shared_bottleneck=request.param, seed=4, warmup_s=2.0)
+        recorder = campaign.attach_recorder(
+            triggers=(Trigger(kind="stall", threshold=0.2),),
+            ring_size=64)
+        aggregator = campaign.attach_health(
+            tau=self.TAU, queue_sample_s=self.SAMPLE_S)
+        # Polls every forward bottleneck at the aggregator's instants.
+        sampler = TimeSeriesSampler(
+            campaign.sim, interval_s=self.SAMPLE_S,
+            start_at=self.SAMPLE_S, until=campaign.assemblies[0].end_at)
+        for fwd, _ in campaign.topology.bottlenecks:
+            sampler.add_series(fwd.name, fwd.backlog)
+        result = campaign.run(drain_s=10.0)
+        return campaign, recorder, aggregator, sampler, result
+
+    def test_late_fraction_matches_the_result_exactly(self, paper_run):
+        _, _, aggregator, _, result = paper_run
+        (row,) = aggregator.rollup()["sessions"]
+        (summary,) = result.sessions
+        assert row["label"] == summary.label == ""
+        assert row["done"]
+        assert row["arrivals"] == len(summary.arrivals)
+        assert 0.0 < row["late_fraction"] == \
+            summary.late_fraction(self.TAU)
+
+    def test_queue_occupancy_sums_the_forward_bottlenecks(
+            self, paper_run):
+        campaign, _, aggregator, sampler, _ = paper_run
+        assert len(sampler.series) == \
+            len(campaign.topology.bottlenecks)
+        totals = [sum(values) for values in zip(
+            *([v for _, v in series]
+              for series in sampler.series.values()))]
+        assert max(totals) > 0
+        assert aggregator.rollup()["hists"]["queue_occupancy"] == \
+            hist_of(totals).to_dict()
+
+    def test_stall_trigger_freezes_the_session_ring(
+            self, paper_run, tmp_path):
+        _, recorder, aggregator, _, _ = paper_run
+        assert aggregator.stall_events > 0
+        assert list(recorder.frozen) == [""]
+        (path,) = recorder.dump(str(tmp_path))
+        assert path.endswith("trigger-stall-session.jsonl")
+        assert 0 < validate_jsonl(path) <= 64
 
 
 class TestAggregatorUnits:

@@ -56,18 +56,18 @@ def test_shared_bottleneck_video_flows_weakly_correlated():
     """The Section-5.3 claim on our substrate: with background traffic
     interleaved, the two video flows' loss processes on a SHARED
     bottleneck are only weakly correlated."""
-    from repro import BottleneckSpec, PathConfig, StreamingSession
+    from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
 
     spec = BottleneckSpec(bandwidth_bps=1.2e6, delay_s=0.01,
                           buffer_pkts=25)
     paths = [PathConfig(bottleneck=spec, n_ftp=2, n_http=5)] * 2
-    session = StreamingSession(mu=50, duration_s=150, paths=paths,
-                               shared_bottleneck=True, seed=9)
+    session = MultiSessionCampaign(mu=50, duration_s=150, paths=paths,
+                                   shared_bottleneck=True, seed=9)
     trace = session.attach_packet_trace(
         PacketTrace(events={"drop", "recv"}))
     session.run()
     flows = []
-    for conn in session.connections:
+    for conn in session.assemblies[0].connections:
         sender = conn.sender
         flows.append((sender.node.name, sender.port,
                       sender.dst_name, sender.dst_port))

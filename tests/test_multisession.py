@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.campaign import MultiSessionCampaign
 from repro.core.metrics import quantile
-from repro.core.session import StreamingSession
 from repro.experiments.campaign import run_campaign
 from repro.experiments.configs import ALL_SETTINGS, Setting
 from repro.experiments.parallel import (
@@ -26,7 +25,7 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import ScaleProfile, run_setting
 from repro.experiments.scenarios import (
     ScenarioError,
-    build_campaign,
+    build_scenario,
     run_scenario,
     validate_scenario,
 )
@@ -105,13 +104,12 @@ class TestPacketPool:
 class TestBatchedService:
     @staticmethod
     def _run_session(pooled=False, **session_kwargs):
-        session = StreamingSession(
+        session = MultiSessionCampaign(
             mu=20, duration_s=10.0,
             paths=ALL_SETTINGS["2-2"].path_configs(),
             seed=5, **session_kwargs)
-        if pooled:
-            session.sim.pool = PacketPool()
-        result = session.run()
+        session.sim.pool = PacketPool() if pooled else None
+        (result,) = session.run().sessions
         return session, result
 
     def test_pooled_session_delivers_everything(self):
@@ -134,7 +132,7 @@ class TestBatchedService:
         assert plain.flow_stats == pooled.flow_stats
 
     def test_batch_service_conserves_and_orders(self):
-        campaign = small_campaign(use_pool=True)
+        campaign = small_campaign()
         deliveries = []
         link_name = campaign.topology.bottleneck_fwd.name
 
@@ -304,9 +302,14 @@ class TestScenarios:
 
     def test_validate_and_build(self):
         validate_scenario(self.SCENARIO)
-        campaign = build_campaign(self.SCENARIO)
+        campaign = build_scenario(self.SCENARIO)
         assert campaign.n_sessions == 3
         assert campaign.queue_discipline == "red"
+        # One session is the paper topology, not a 1-member fan-in.
+        single = build_scenario(dict(self.SCENARIO, n_sessions=1))
+        assert single.n_sessions == 1
+        assert [a.label for a in single.assemblies] == [""]
+        assert len(single.topology.bottlenecks) == 2
 
     def test_run_scenario_dispatches_to_campaign(self):
         summary = run_scenario(self.SCENARIO)
@@ -324,8 +327,6 @@ class TestScenarios:
         bad = dict(self.SCENARIO, shared_bottleneck=True)
         with pytest.raises(ScenarioError):
             validate_scenario(bad)
-        with pytest.raises(ScenarioError):
-            build_campaign(dict(self.SCENARIO, n_sessions=1))
 
 
 class TestCli:

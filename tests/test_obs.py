@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro import BottleneckSpec, PathConfig, StreamingSession
+from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
 from repro.experiments.measure import estimate_flow
 from repro.obs import (
     SCHEMA,
@@ -58,11 +58,11 @@ def tiny_session(seed=5, **kwargs):
     defaults = dict(mu=30, duration_s=8.0, paths=paths, seed=seed,
                     warmup_s=5.0)
     defaults.update(kwargs)
-    return StreamingSession(**defaults)
+    return MultiSessionCampaign(**defaults)
 
 
 def video_flow_key(session, idx):
-    sender = session.connections[idx].sender
+    sender = session.assemblies[0].connections[idx].sender
     return (sender.node.name, sender.port, sender.dst_name,
             sender.dst_port)
 
@@ -181,7 +181,7 @@ def test_trace_sink_bit_identical_to_pre_refactor_goldens():
     from repro.experiments.configs import ALL_SETTINGS
 
     setting = ALL_SETTINGS[GOLDEN_SETTING]
-    session = StreamingSession(
+    session = MultiSessionCampaign(
         mu=setting.mu, duration_s=GOLDEN_DURATION_S,
         paths=setting.path_configs(),
         shared_bottleneck=setting.shared_bottleneck, seed=GOLDEN_SEED)
@@ -211,7 +211,8 @@ def test_trace_sink_bit_identical_to_pre_refactor_goldens():
 
 # The correlated-paths (Fig. 6) topology, pinned the same way: sha256
 # over the session's arrivals, per-flow stats, path shares and the
-# bottleneck drop fraction, captured on the single-session builder.
+# bottleneck drop fraction, captured on the single-session builder
+# that preceded MultiSessionCampaign(paths=...).
 FIG6_SETTING = "corr-2"
 FIG6_SEED = 606
 FIG6_DURATION_S = 10.0
@@ -232,14 +233,15 @@ def test_correlated_paths_run_bit_identical_to_pinned_digest():
 
     setting = ALL_SETTINGS[FIG6_SETTING]
     assert setting.shared_bottleneck
-    session = StreamingSession(
+    result = MultiSessionCampaign(
         mu=setting.mu, duration_s=FIG6_DURATION_S,
         paths=setting.path_configs(),
-        shared_bottleneck=setting.shared_bottleneck, seed=FIG6_SEED)
-    result = session.run()
-    (drop_fraction,) = result.bottleneck_drop_fractions
-    assert run_digest(result.arrivals, result.flow_stats,
-                      result.path_shares, drop_fraction) == FIG6_DIGEST
+        shared_bottleneck=setting.shared_bottleneck,
+        seed=FIG6_SEED).run()
+    (session,) = result.sessions
+    assert run_digest(session.arrivals, session.flow_stats,
+                      session.path_shares,
+                      result.bottleneck_drop_fraction) == FIG6_DIGEST
 
 
 def test_trace_sink_link_filter():
@@ -250,7 +252,8 @@ def test_trace_sink_link_filter():
     session.run(drain_s=5.0)
     assert len(unfiltered.trace.records) > len(filtered.records)
     bottleneck_names = {link.name
-                        for link in session._bottleneck_links}
+                        for pair in session.topology.bottlenecks
+                        for link in pair}
     assert {rec.link for rec in filtered.records} <= bottleneck_names
     assert {rec.link for rec in unfiltered.trace.records} \
         > bottleneck_names
@@ -267,10 +270,11 @@ def test_counters_match_bus_emissions():
                  for topic, count in session.bus.emissions().items()
                  if count}
     assert counters.as_dict() == emissions
+    (assembly,) = session.assemblies
     assert counters.counts["source.generate"] == \
-        session.source.total_packets
+        assembly.source.total_packets
     assert counters.counts["client.arrival"] == \
-        session.client.received
+        assembly.client.received
     assert "tcp.cwnd" in counters.counts
     assert counters.summary()  # formats without raising
 
@@ -283,6 +287,31 @@ def test_jsonl_sink_schema_valid(tmp_path):
     sink.close()
     count = validate_jsonl(path)
     assert count == sink.lines_written > 1000
+
+
+def test_recording_sink_snapshots_pooled_packets():
+    """Every run recycles packets; what a RecordingSink kept must still
+    read as it was emitted (the JSONL sink serialises at emission)."""
+    from repro.obs.sinks import _jsonify
+    from repro.sim.packet import Packet
+
+    session = tiny_session(seed=7)
+    recorder = RecordingSink(patterns=("link.*",))
+    session.bus.attach(recorder)
+    buffer = io.StringIO()
+    session.attach_jsonl(buffer, patterns=("link.*",))
+    session.run(drain_s=5.0)
+    assert session.sim.pool.recycled > 1000
+    lines = [json.loads(line) for line in buffer.getvalue().splitlines()]
+    assert len(lines) == len(recorder.events) > 1000
+    acks = 0
+    for (topic, time, values), line in zip(recorder.events, lines):
+        packet = values[1]
+        assert isinstance(packet, Packet)
+        assert (topic, time) == (line["topic"], line["t"])
+        assert _jsonify(packet) == line["packet"]
+        acks += packet.is_ack
+    assert 0 < acks < len(lines)
 
 
 def test_validate_jsonl_rejects_bad_records(tmp_path):
@@ -436,8 +465,8 @@ def test_shared_bottleneck_mismatched_specs_rejected():
             bandwidth_bps=2e6, delay_s=0.02, buffer_pkts=20)),
     ]
     with pytest.raises(ValueError, match="one common spec"):
-        StreamingSession(mu=30, duration_s=5.0, paths=paths,
-                         shared_bottleneck=True, seed=1)
+        MultiSessionCampaign(mu=30, duration_s=5.0, paths=paths,
+                             shared_bottleneck=True, seed=1)
 
 
 def test_cache_counters_records(tmp_path):

@@ -217,15 +217,15 @@ def test_mc_late_fraction_in_unit_interval(params, mu, tau, seed):
 # Simulator-core determinism (the parallel executor's contract)
 # ---------------------------------------------------------------------
 def _tiny_session(seed, scheme):
-    from repro.core.session import PathConfig, StreamingSession
-    from repro.sim.topology import BottleneckSpec
+    from repro.core.campaign import MultiSessionCampaign
+    from repro.sim.topology import BottleneckSpec, PathConfig
 
     spec = BottleneckSpec(bandwidth_bps=1.5e6, delay_s=0.02,
                           buffer_pkts=20)
     paths = [PathConfig(bottleneck=spec, n_ftp=1, n_http=2)
              for _ in range(2)]
-    return StreamingSession(mu=30, duration_s=20.0, paths=paths,
-                            scheme=scheme, seed=seed)
+    return MultiSessionCampaign(mu=30, duration_s=20.0, paths=paths,
+                                scheme=scheme, seed=seed)
 
 
 @settings(max_examples=4, deadline=None)
@@ -234,8 +234,8 @@ def _tiny_session(seed, scheme):
 def test_session_same_seed_is_bit_identical(seed, scheme):
     """Two runs with the same seed must agree exactly — the invariant
     that makes fan-out over processes (and the on-disk cache) sound."""
-    a = _tiny_session(seed, scheme).run(drain_s=10.0)
-    b = _tiny_session(seed, scheme).run(drain_s=10.0)
+    (a,) = _tiny_session(seed, scheme).run(drain_s=10.0).sessions
+    (b,) = _tiny_session(seed, scheme).run(drain_s=10.0).sessions
     assert a.arrivals == b.arrivals
     assert a.flow_stats == b.flow_stats
     for tau in (1.0, 4.0):
@@ -247,6 +247,6 @@ def test_session_same_seed_is_bit_identical(seed, scheme):
 def test_session_different_seeds_differ(seed):
     """Different seeds must yield different event traces — otherwise
     averaging replications would be a no-op."""
-    a = _tiny_session(seed, "dmp").run(drain_s=10.0)
-    b = _tiny_session(seed + 1, "dmp").run(drain_s=10.0)
+    (a,) = _tiny_session(seed, "dmp").run(drain_s=10.0).sessions
+    (b,) = _tiny_session(seed + 1, "dmp").run(drain_s=10.0).sessions
     assert a.arrivals != b.arrivals

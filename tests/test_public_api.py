@@ -41,17 +41,17 @@ def test_experiments_exports():
 
 def test_readme_quickstart_snippet_runs():
     """The code block in README.md must actually work (abridged)."""
-    from repro import BottleneckSpec, PathConfig, StreamingSession
+    from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
     from repro.model import DmpModel, FlowParams
 
     path = PathConfig(
         bottleneck=BottleneckSpec(bandwidth_bps=3.7e6, delay_s=0.001,
                                   buffer_pkts=50),
         n_ftp=2, n_http=5)
-    session = StreamingSession(mu=50, duration_s=15,
+    run = MultiSessionCampaign(mu=50, duration_s=15,
                                paths=[path, path], scheme="dmp",
                                seed=7)
-    result = session.run()
+    (result,) = run.run().sessions
     assert 0.0 <= result.late_fraction(tau=6.0) <= 1.0
     assert len(result.path_shares) == 2
 
@@ -66,11 +66,11 @@ def test_readme_quickstart_snippet_runs():
 
 
 def test_session_glitches_helper():
-    from repro import BottleneckSpec, PathConfig, StreamingSession
+    from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
     paths = [PathConfig(bottleneck=BottleneckSpec(
         bandwidth_bps=2e6, delay_s=0.005, buffer_pkts=40))] * 2
-    result = StreamingSession(mu=40, duration_s=10, paths=paths,
-                              seed=1).run()
+    (result,) = MultiSessionCampaign(mu=40, duration_s=10, paths=paths,
+                                     seed=1).run().sessions
     stats = result.glitches(tau=2.0)
     assert stats.glitch_count == 0
     assert stats.late_packets == 0

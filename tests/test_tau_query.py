@@ -17,7 +17,7 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import late_fraction
-from repro.core.session import SessionResult, StreamingSession
+from repro.core.campaign import MultiSessionCampaign, SessionSummary
 from repro.experiments.cache import (
     ResultCache,
     run_late_fractions,
@@ -93,10 +93,10 @@ def test_exact_deadline_arrivals_agree():
 @given(data=stream(), extra=st.lists(TAUS, max_size=3))
 def test_record_round_trip_answers_every_tau(data, extra):
     mu, total, taus, arrivals = data
-    live = SessionResult(mu=mu, total_packets=total, arrivals=arrivals,
-                         flow_stats=[], path_shares=[],
-                         bottleneck_drop_fractions=[], duration_s=1.0,
-                         scheme="dmp")
+    live = SessionSummary(index=0, label="", start_at=0.0, mu=mu,
+                          total_packets=total, received=len(arrivals),
+                          arrivals=arrivals, flow_stats=[],
+                          path_shares=[])
     record = {"flow_stats": [],
               "sessions": [session_record(total, arrivals)]}
     stored = json.loads(json.dumps(record))
@@ -109,7 +109,7 @@ def test_record_round_trip_answers_every_tau(data, extra):
 def test_simulated_record_through_the_cache_matches_the_live_run(
         tmp_path):
     """simulate_run -> put_run -> JSON on disk -> get_run -> reader
-    equals the live StreamingSession result at taus never requested."""
+    equals the live one-session result at taus never requested."""
     setting = ALL_SETTINGS["2-2"]
     spec = RunSpec(setting=setting, duration_s=5.0, scheme="dmp",
                    seed=3, send_buffer_pkts=16)
@@ -117,11 +117,11 @@ def test_simulated_record_through_the_cache_matches_the_live_run(
     cache.put_run(spec, simulate_run(spec))
     record = cache.get_run(spec)
     assert record is not None
-    live = StreamingSession(
+    (live,) = MultiSessionCampaign(
         mu=setting.mu, duration_s=5.0, paths=setting.path_configs(),
         scheme="dmp", shared_bottleneck=setting.shared_bottleneck,
         seed=3, send_buffer_pkts=16,
-        queue_discipline=setting.queue_discipline).run()
+        queue_discipline=setting.queue_discipline).run().sessions
     for tau in (0.0, 0.25, 1.0, 2.5, 4.0):
         metrics = live.metrics(tau)
         assert run_late_fractions(record, setting.mu, tau) == [

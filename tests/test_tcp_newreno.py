@@ -104,11 +104,11 @@ def test_connection_variant_selection():
 
 
 def test_session_accepts_variant():
-    from repro import BottleneckSpec, PathConfig, StreamingSession
+    from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
     spec = BottleneckSpec(bandwidth_bps=2e6, delay_s=0.005,
                           buffer_pkts=40)
     paths = [PathConfig(bottleneck=spec)] * 2
-    session = StreamingSession(mu=40, duration_s=10, paths=paths,
-                               seed=1, tcp_variant="newreno")
-    result = session.run()
+    session = MultiSessionCampaign(mu=40, duration_s=10, paths=paths,
+                                   seed=1, tcp_variant="newreno")
+    (result,) = session.run().sessions
     assert len(result.arrivals) == result.total_packets

@@ -113,11 +113,11 @@ def test_connection_level_sack():
 
 
 def test_session_with_sack_variant():
-    from repro import BottleneckSpec, PathConfig, StreamingSession
+    from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
     spec = BottleneckSpec(bandwidth_bps=1.5e6, delay_s=0.005,
                           buffer_pkts=30)
     paths = [PathConfig(bottleneck=spec, n_ftp=1)] * 2
-    session = StreamingSession(mu=40, duration_s=20, paths=paths,
-                               seed=2, tcp_variant="sack")
-    result = session.run()
+    session = MultiSessionCampaign(mu=40, duration_s=20, paths=paths,
+                                   seed=2, tcp_variant="sack")
+    (result,) = session.run().sessions
     assert len(result.arrivals) == result.total_packets
