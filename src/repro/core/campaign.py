@@ -221,8 +221,8 @@ class MultiSessionCampaign:
             if not paths:
                 raise ValueError("need at least one path")
             if shared_bottleneck:
-                if len({(p.bottleneck.bandwidth_bps, p.bottleneck.delay_s,
-                         p.bottleneck.buffer_pkts) for p in paths}) > 1:
+                if any(p.bottleneck != paths[0].bottleneck
+                       for p in paths):
                     raise ValueError(
                         "shared bottleneck requires one common spec")
                 self.topology = SharedBottleneckTopology(

@@ -92,6 +92,16 @@ def test_unknown_scheme_rejected():
                              scheme="quantum")
 
 
+def test_network_given_exactly_one_way():
+    for kwargs in ({}, {"paths": two_paths(), "bottleneck": FAST},
+                   {"paths": two_paths(), "n_sessions": 2},
+                   {"paths": two_paths(), "n_ftp": 1},
+                   {"paths": []},
+                   {"bottleneck": FAST, "shared_bottleneck": True}):
+        with pytest.raises(ValueError):
+            MultiSessionCampaign(mu=10, duration_s=5, **kwargs)
+
+
 def test_shared_bottleneck_session():
     paths = [PathConfig(bottleneck=FAST, n_ftp=1, n_http=2)] * 2
     session = MultiSessionCampaign(mu=40, duration_s=20, paths=paths,
