@@ -6,7 +6,9 @@ trigger freezing schema-valid bounded windows for exactly the stalled
 sessions, and the Prometheus / terminal / HTML exporters.
 """
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -25,6 +27,14 @@ from repro.sim.topology import BottleneckSpec, PathConfig
 #: 2 paths x 10 pkt/s x 1500 B = ~960 kbps offered over 400 kbps), so
 #: every session is late and the playout clock starves — the regime
 #: the stall trigger exists for.
+#: sha256 pins of the ``instrumented`` run's exports: the Prometheus
+#: exposition text, and the flight-recorder dumps (file name + bytes
+#: of each, in dump order).
+EXPOSITION_DIGEST = \
+    "06a76e80033fa500fdeaf3d4e47fdee877fbe764b2809c2651da5bf296c8aed6"
+DUMPS_DIGEST = \
+    "e95801a939f8a89ede209398db15e105b93f2aa5f4c37c3db1138a9647ac9d85"
+
 OVERLOADED = BottleneckSpec(bandwidth_bps=400_000.0, delay_s=0.02,
                             buffer_pkts=20)
 
@@ -125,6 +135,16 @@ class TestStallTrigger:
         assert "health.stall" in topics
         assert "client.arrival" in topics
 
+    def test_dumps_bit_identical_to_pinned_digest(
+            self, instrumented, tmp_path):
+        _, recorder, _, _ = instrumented
+        digest = hashlib.sha256()
+        for path in recorder.dump(str(tmp_path)):
+            digest.update(os.path.basename(path).encode())
+            with open(path, "rb") as handle:
+                digest.update(handle.read())
+        assert digest.hexdigest() == DUMPS_DIGEST
+
     def test_rerun_dumps_bit_identical(self, instrumented, tmp_path):
         _, recorder, _, _ = instrumented
         campaign = _campaign()
@@ -149,6 +169,13 @@ class TestExporters:
         assert "repro_campaign_sessions 4" in text
         assert "repro_session_late_fraction" in text
         assert "repro_late_fraction_bucket" in text
+
+    def test_exposition_bit_identical_to_pinned_digest(
+            self, instrumented):
+        _, _, aggregator, _ = instrumented
+        text = prometheus_exposition(aggregator.rollup())
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            EXPOSITION_DIGEST
 
     def test_health_table_lists_sessions(self, instrumented):
         campaign, _, aggregator, _ = instrumented

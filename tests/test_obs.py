@@ -244,6 +244,35 @@ def test_correlated_paths_run_bit_identical_to_pinned_digest():
                       result.bottleneck_drop_fraction) == FIG6_DIGEST
 
 
+# The probe JSONL stream of a short 2-2 run, pinned byte for byte:
+# sha256 of everything JsonlSink writes for every topic.  Packet uids
+# come from a process-global counter, so the test restarts it.
+JSONL_SEED = 17
+JSONL_N_LINES = 65311
+JSONL_DIGEST = \
+    "240116910fa638279b6814f9efd0d21827405141c3943282e0e2e70c87d705b1"
+
+
+def test_jsonl_stream_bit_identical_to_pinned_digest(monkeypatch):
+    import itertools
+
+    import repro.sim.packet as packet_module
+    from repro.experiments.configs import ALL_SETTINGS
+
+    monkeypatch.setattr(packet_module, "_uid_counter", itertools.count())
+    setting = ALL_SETTINGS[GOLDEN_SETTING]
+    session = MultiSessionCampaign(
+        mu=setting.mu, duration_s=2.0, warmup_s=1.0,
+        paths=setting.path_configs(),
+        shared_bottleneck=setting.shared_bottleneck, seed=JSONL_SEED)
+    buffer = io.StringIO()
+    session.attach_jsonl(buffer)
+    session.run(drain_s=1.0)
+    text = buffer.getvalue()
+    assert len(text.splitlines()) == JSONL_N_LINES
+    assert hashlib.sha256(text.encode()).hexdigest() == JSONL_DIGEST
+
+
 def test_trace_sink_link_filter():
     session = tiny_session(seed=3)
     unfiltered = TraceSink()
