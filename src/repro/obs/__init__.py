@@ -4,7 +4,8 @@ See ``docs/observability.md`` for the probe-point catalogue, sink
 descriptions and the JSONL schema.
 """
 
-from repro.obs.bus import SCHEMA, EventBus, Probe
+from repro.obs.bus import EventBus, Probe
+from repro.obs.names import NAMES
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.sinks import (
     CountersSink,
@@ -16,7 +17,7 @@ from repro.obs.sinks import (
 )
 
 __all__ = [
-    "SCHEMA",
+    "NAMES",
     "EventBus",
     "Probe",
     "TraceSink",

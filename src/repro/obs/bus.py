@@ -1,8 +1,9 @@
 """The instrumentation bus: typed probe points with pluggable sinks.
 
 Every layer of the simulator declares *probe points* — named, typed
-event streams such as ``link.drop`` or ``tcp.cwnd`` — on the
-:class:`EventBus` owned by its :class:`~repro.sim.engine.Simulator`.
+event streams such as ``link.drop`` or ``tcp.cwnd``, each a ``probe``
+entry of :data:`repro.obs.names.NAMES` — on the :class:`EventBus`
+owned by its :class:`~repro.sim.engine.Simulator`.
 Sinks subscribe by topic (exact name, ``"link.*"`` prefix, or ``"*"``)
 and receive ``(topic, time, values)`` triples.
 
@@ -24,46 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Protocol, Sequence, Tuple
 
-#: Registry of every probe point in the simulator: topic -> field names
-#: (the values tuple each emission carries, after the leading time).
-#: ``bus.probe(topic)`` refuses topics not declared here, so the set of
-#: probe points — and their schemas — stays discoverable in one place.
-SCHEMA: Dict[str, Tuple[str, ...]] = {
-    # engine
-    "engine.event": ("pending",),
-    "engine.compact": ("removed", "pending"),
-    # links / queues
-    "link.enqueue": ("link", "packet", "qlen"),
-    "link.drop": ("link", "packet", "qlen"),
-    "link.send": ("link", "packet"),
-    "link.recv": ("link", "packet"),
-    # AQM (PIE family): controller ticks and early (non-overflow) drops
-    "queue.pie.prob_update": ("queue", "prob", "qdelay", "burst"),
-    "queue.pie.drop": ("queue", "prob", "qlen"),
-    # TCP senders
-    "tcp.cwnd": ("flow", "cwnd", "ssthresh"),
-    "tcp.timeout": ("flow", "rto", "backoff"),
-    "tcp.fast_retransmit": ("flow", "seq"),
-    "tcp.retransmit": ("flow", "seq"),
-    "tcp.rtt_sample": ("flow", "rtt"),
-    "tcp.send_buffer": ("flow", "buffered"),
-    # server side
-    "server_queue.push": ("depth",),
-    "server_queue.fetch": ("flow", "depth"),
-    "source.generate": ("number",),
-    "streamer.assign": ("path", "number"),
-    # client side
-    "client.arrival": ("path", "number"),
-    "client.buffer": ("level",),
-    # multi-session campaigns: one event per session at the instant
-    # its video ends (received = packets delivered by then)
-    "campaign.session_done": ("session", "received", "total"),
-    # campaign health layer (repro.obs.health / repro.obs.recorder):
-    # a session's freeze-resume playout clock starved for ``duration``
-    # seconds, and a flight-recorder trigger freezing a ring
-    "health.stall": ("session", "duration", "rebuffers"),
-    "health.trigger": ("session", "kind", "value"),
-}
+from repro.obs.names import declared
 
 Subscriber = Callable[[str, float, Tuple[Any, ...]], None]
 
@@ -146,17 +108,12 @@ class EventBus:
 
     # -- probe side ----------------------------------------------------
     def probe(self, topic: str) -> Probe:
-        """The (shared) probe for ``topic``; must be in :data:`SCHEMA`."""
+        """The (shared) probe for ``topic``, a declared probe name in
+        :data:`repro.obs.names.NAMES`."""
         existing = self._probes.get(topic)
         if existing is not None:
             return existing
-        try:
-            fields = SCHEMA[topic]
-        except KeyError:
-            raise ValueError(
-                f"unknown probe topic {topic!r}; declare it in "
-                "repro.obs.bus.SCHEMA") from None
-        probe = Probe(topic, fields)
+        probe = Probe(topic, declared(topic, "probe"))
         for pattern, subscriber in self._patterns:
             if _matches(pattern, topic):
                 probe.subscribers.append(subscriber)

@@ -12,58 +12,26 @@ rollup` (or a :func:`~repro.obs.health.merge_rollups` result):
 * :func:`html_dashboard` — a self-contained static HTML page (inline
   JSON + inline rendering script, no server, no external assets).
 
-Every exposed metric name must be declared in
-:data:`PROMETHEUS_METRICS` and emitted through :func:`sample_line` /
-:func:`histogram_lines` with a *literal* name — ``tools/repro_lint``
-rule RL003 cross-checks the registry against the call sites in this
-file (unregistered emissions and dead registry entries both fail the
-lint), mirroring the probe-SCHEMA contract.
+Every exposed metric is a gauge, counter or histogram entry of
+:data:`repro.obs.names.NAMES`, emitted through :func:`sample_line` /
+:func:`histogram_lines` with a *literal* name (``tools/repro_lint``
+rule RL003 checks each call site's name and kind); its exposition name
+is :func:`~repro.obs.names.prometheus_name` of the entry.
 """
 
 from __future__ import annotations
 
 import html
 import json
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set
 
 from repro.obs.health import LogHistogram, bucket_lo
+from repro.obs.names import NAMES, declared, prometheus_name
 
-#: Registry of every Prometheus metric this module may expose:
-#: name -> (type, help text).  RL003 validates that each entry has a
-#: literal ``sample_line``/``histogram_lines`` call site here and that
-#: no call site uses an unregistered name.
-PROMETHEUS_METRICS: Dict[str, Tuple[str, str]] = {
-    "repro_campaign_sessions": (
-        "gauge", "Sessions aggregated in this campaign rollup"),
-    "repro_campaign_sessions_done": (
-        "gauge", "Sessions whose video ended within the run"),
-    "repro_campaign_drops_total": (
-        "counter", "Bottleneck packet drops observed"),
-    "repro_campaign_stall_events_total": (
-        "counter", "Playout stall (rebuffer) events across sessions"),
-    "repro_session_late_fraction": (
-        "gauge", "Per-session late fraction at the reference tau"),
-    "repro_session_startup_delay_seconds": (
-        "gauge", "Per-session first-arrival startup delay"),
-    "repro_session_stall_seconds_total": (
-        "counter", "Per-session total playout stall time"),
-    "repro_session_rebuffers_total": (
-        "counter", "Per-session rebuffer event count"),
-    "repro_session_path_share": (
-        "gauge", "Per-session fraction of packets per path"),
-    "repro_late_fraction": (
-        "histogram", "Population late fraction at the reference tau"),
-    "repro_startup_delay_seconds": (
-        "histogram", "Population startup delay"),
-    "repro_stall_seconds": (
-        "histogram", "Population per-session total stall time"),
-    "repro_cwnd_packets": (
-        "histogram", "Congestion window samples across video flows"),
-    "repro_send_buffer_packets": (
-        "histogram", "Send-buffer occupancy samples across flows"),
-    "repro_queue_occupancy_packets": (
-        "histogram", "Polled bottleneck queue occupancy"),
-}
+#: Exposition name -> NAMES entry name, for every declared metric.
+_EXPOSED = {prometheus_name(name): name
+            for name, (kind, _, _) in NAMES.items()
+            if kind in ("counter", "gauge", "histogram")}
 
 
 def _format_value(value: float) -> str:
@@ -88,12 +56,14 @@ def _format_labels(labels: Optional[Mapping[str, str]]) -> str:
 
 def sample_line(name: str, value: float,
                 labels: Optional[Mapping[str, str]] = None) -> str:
-    """One exposition sample for a registered gauge/counter."""
-    kind = PROMETHEUS_METRICS[name][0]
-    if kind == "histogram":
+    """One exposition sample for a declared gauge/counter, labelled
+    with exactly its declared label names."""
+    fields = declared(name, "counter", "gauge")
+    if tuple(labels or ()) != fields:
         raise ValueError(
-            f"{name} is a histogram; use histogram_lines()")
-    return f"{name}{_format_labels(labels)} {_format_value(value)}"
+            f"{name} takes labels {fields}, got {tuple(labels or ())}")
+    return (f"{prometheus_name(name)}{_format_labels(labels)} "
+            f"{_format_value(value)}")
 
 
 def histogram_lines(name: str, hist: LogHistogram) -> List[str]:
@@ -104,8 +74,8 @@ def histogram_lines(name: str, hist: LogHistogram) -> List[str]:
     ``_count`` — exactly the series a Prometheus client library would
     expose, parseable by any scraper.
     """
-    if PROMETHEUS_METRICS[name][0] != "histogram":
-        raise ValueError(f"{name} is not registered as a histogram")
+    declared(name, "histogram")
+    name = prometheus_name(name)
     lines: List[str] = []
     cumulative = hist.zero_count
     if hist.zero_count:
@@ -123,8 +93,9 @@ def histogram_lines(name: str, hist: LogHistogram) -> List[str]:
 
 
 def _header(name: str) -> List[str]:
-    kind, help_text = PROMETHEUS_METRICS[name]
-    return [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+    kind, _, help_text = NAMES[name]
+    exposed = prometheus_name(name)
+    return [f"# HELP {exposed} {help_text}", f"# TYPE {exposed} {kind}"]
 
 
 def prometheus_exposition(rollup: Mapping[str, Any]) -> str:
@@ -134,71 +105,70 @@ def prometheus_exposition(rollup: Mapping[str, Any]) -> str:
     counters = rollup["counters"]
     lines: List[str] = []
 
-    lines += _header("repro_campaign_sessions")
-    lines.append(sample_line("repro_campaign_sessions",
+    lines += _header("campaign.sessions")
+    lines.append(sample_line("campaign.sessions",
                              float(counters["sessions"])))
-    lines += _header("repro_campaign_sessions_done")
-    lines.append(sample_line("repro_campaign_sessions_done",
+    lines += _header("campaign.sessions_done")
+    lines.append(sample_line("campaign.sessions_done",
                              float(counters["done"])))
-    lines += _header("repro_campaign_drops_total")
-    lines.append(sample_line("repro_campaign_drops_total",
+    lines += _header("campaign.drops_total")
+    lines.append(sample_line("campaign.drops_total",
                              float(counters["drops"])))
-    lines += _header("repro_campaign_stall_events_total")
-    lines.append(sample_line("repro_campaign_stall_events_total",
+    lines += _header("campaign.stall_events_total")
+    lines.append(sample_line("campaign.stall_events_total",
                              float(counters["stall_events"])))
 
-    lines += _header("repro_session_late_fraction")
+    lines += _header("session.late_fraction")
     for row in rollup["sessions"]:
         lines.append(sample_line(
-            "repro_session_late_fraction",
+            "session.late_fraction",
             float(row["late_fraction"]),
             {"session": _session_label(row)}))
-    lines += _header("repro_session_startup_delay_seconds")
+    lines += _header("session.startup_delay_seconds")
     for row in rollup["sessions"]:
         if row["startup_delay_s"] is not None:
             lines.append(sample_line(
-                "repro_session_startup_delay_seconds",
+                "session.startup_delay_seconds",
                 float(row["startup_delay_s"]),
                 {"session": _session_label(row)}))
-    lines += _header("repro_session_stall_seconds_total")
+    lines += _header("session.stall_seconds_total")
     for row in rollup["sessions"]:
         lines.append(sample_line(
-            "repro_session_stall_seconds_total",
+            "session.stall_seconds_total",
             float(row["stall_s"]),
             {"session": _session_label(row)}))
-    lines += _header("repro_session_rebuffers_total")
+    lines += _header("session.rebuffers_total")
     for row in rollup["sessions"]:
         lines.append(sample_line(
-            "repro_session_rebuffers_total",
+            "session.rebuffers_total",
             float(row["rebuffers"]),
             {"session": _session_label(row)}))
-    lines += _header("repro_session_path_share")
+    lines += _header("session.path_share")
     for row in rollup["sessions"]:
         for path, share in row["path_share"].items():
             lines.append(sample_line(
-                "repro_session_path_share", float(share),
+                "session.path_share", float(share),
                 {"session": _session_label(row), "path": path}))
 
     # One literal call per population histogram (not a name->key
-    # loop): repro-lint RL003 cross-checks every literal metric name
-    # against PROMETHEUS_METRICS and flags registry entries with no
-    # literal emission site.
-    lines += _header("repro_late_fraction")
+    # loop): repro-lint RL003 checks literal names against NAMES and
+    # flags entries with no literal call site.
+    lines += _header("late_fraction")
     lines += histogram_lines(
-        "repro_late_fraction", hists["late_fraction"])
-    lines += _header("repro_startup_delay_seconds")
+        "late_fraction", hists["late_fraction"])
+    lines += _header("startup_delay_seconds")
     lines += histogram_lines(
-        "repro_startup_delay_seconds", hists["startup_delay_s"])
-    lines += _header("repro_stall_seconds")
-    lines += histogram_lines("repro_stall_seconds", hists["stall_s"])
-    lines += _header("repro_cwnd_packets")
-    lines += histogram_lines("repro_cwnd_packets", hists["cwnd"])
-    lines += _header("repro_send_buffer_packets")
+        "startup_delay_seconds", hists["startup_delay_s"])
+    lines += _header("stall_seconds")
+    lines += histogram_lines("stall_seconds", hists["stall_s"])
+    lines += _header("cwnd_packets")
+    lines += histogram_lines("cwnd_packets", hists["cwnd"])
+    lines += _header("send_buffer_packets")
     lines += histogram_lines(
-        "repro_send_buffer_packets", hists["send_buffer"])
-    lines += _header("repro_queue_occupancy_packets")
+        "send_buffer_packets", hists["send_buffer"])
+    lines += _header("queue_occupancy_packets")
     lines += histogram_lines(
-        "repro_queue_occupancy_packets", hists["queue_occupancy"])
+        "queue_occupancy_packets", hists["queue_occupancy"])
     return "\n".join(lines) + "\n"
 
 
@@ -211,13 +181,14 @@ def validate_exposition(text: str) -> int:
     """Parse a text exposition; returns the number of samples.
 
     A deliberately strict reader of the subset this module emits:
-    ``# HELP``/``# TYPE`` headers must precede their samples, every
-    sample must name a registered metric (histograms through their
-    ``_bucket``/``_sum``/``_count`` series), carry a parseable value,
-    and histogram cumulative bucket counts must be monotone with a
-    trailing ``+Inf``.  CI runs this over every generated dump.
+    ``# HELP``/``# TYPE`` headers name a declared metric and precede
+    its samples, the ``# TYPE`` is the kind NAMES declares, a sample
+    names a declared gauge/counter or — only for a histogram — its
+    ``_bucket``/``_sum``/``_count`` series, every value parses, and
+    histogram cumulative bucket counts are monotone with a trailing
+    ``+Inf``.  CI runs this over every generated dump.
     """
-    typed: Dict[str, str] = {}
+    typed: Set[str] = set()
     samples = 0
     bucket_state: Dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -227,28 +198,37 @@ def validate_exposition(text: str) -> int:
             parts = line.split(" ", 3)
             if len(parts) < 4 or not parts[2]:
                 raise ValueError(f"line {lineno}: malformed header")
+            if parts[2] not in _EXPOSED:
+                raise ValueError(
+                    f"line {lineno}: undeclared metric {parts[2]!r}")
             if line.startswith("# TYPE "):
-                typed[parts[2]] = parts[3].strip()
+                kind = NAMES[_EXPOSED[parts[2]]][0]
+                if parts[3].strip() != kind:
+                    raise ValueError(
+                        f"line {lineno}: {parts[2]!r} is declared a "
+                        f"{kind}, not {parts[3].strip()!r}")
+                typed.add(parts[2])
             continue
         if line.startswith("#"):
             continue
         name = line.split("{", 1)[0].split(" ", 1)[0]
-        base = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) \
-                    and name[:-len(suffix)] in PROMETHEUS_METRICS:
-                base = name[:-len(suffix)]
+        for suffix in ("", "_bucket", "_sum", "_count"):
+            base = name[:len(name) - len(suffix)]
+            if name.endswith(suffix) and base in _EXPOSED:
                 break
-        if base not in PROMETHEUS_METRICS:
+        else:
+            base = ""
+        kind = NAMES[_EXPOSED[base]][0] if base else None
+        if kind is None or (kind == "histogram") != bool(suffix):
             raise ValueError(
-                f"line {lineno}: unregistered metric {name!r}")
+                f"line {lineno}: undeclared metric series {name!r}")
         if base not in typed:
             raise ValueError(
                 f"line {lineno}: sample before # TYPE for {base!r}")
         value_text = line.rsplit(" ", 1)[-1]
         if value_text not in ("+Inf", "-Inf", "NaN"):
             float(value_text)  # raises ValueError on garbage
-        if name == base + "_bucket":
+        if suffix == "_bucket":
             count = int(float(value_text))
             if count < bucket_state.get(base, 0):
                 raise ValueError(

@@ -26,22 +26,22 @@ overhead gate.  Ring entries for topics that carry pooled
 JSON-projected *at append time* — a recycled packet can never alias a
 recorded event.
 
-Dumped windows are JSONL in exactly the :class:`~repro.obs.sinks.
-JsonlSink` record shape, so :func:`repro.obs.sinks.validate_jsonl`
-re-validates every dump against ``obs.SCHEMA``.
+Dumped windows are written by the :class:`~repro.obs.sinks.JsonlSink`
+writer core in its record shape, so :func:`repro.obs.sinks.
+validate_jsonl` re-validates every dump against
+:data:`repro.obs.names.NAMES`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
 from dataclasses import dataclass
 from typing import (Any, Deque, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
-from repro.obs.bus import SCHEMA, EventBus, Probe
-from repro.obs.sinks import _jsonify
+from repro.obs.bus import EventBus, Probe
+from repro.obs.sinks import JsonlWriter, _jsonify, event_record
 
 #: Trigger kinds and their default thresholds (and window, where one
 #: applies).  Thresholds: stall seconds / drop count / buffered
@@ -305,7 +305,7 @@ class FlightRecorder:
         if key in self.frozen:
             return
         frames = iter(self._ring_for(key))
-        events = [self._record(topic, t, values)
+        events = [event_record(topic, t, values)
                   for topic, t, values in zip(frames, frames, frames)]
         self.frozen[key] = TriggerEvent(
             kind=trigger.kind, session=key, time=time, value=value,
@@ -313,15 +313,6 @@ class FlightRecorder:
         probe = self._p_trigger
         if probe is not None and probe.active:
             probe.emit(time, key, trigger.kind, value)
-
-    @staticmethod
-    def _record(topic: str, time: float,
-                values: Tuple[Any, ...]) -> Dict[str, Any]:
-        """One event in the JsonlSink record shape (schema-valid)."""
-        record: Dict[str, Any] = {"topic": topic, "t": time}
-        for field, value in zip(SCHEMA[topic], values):
-            record[field] = _jsonify(value)
-        return record
 
     # -- export --------------------------------------------------------
     def dump_paths(self, directory: str) -> List[str]:
@@ -343,9 +334,9 @@ class FlightRecorder:
         paths: List[str] = []
         for (key, event), path in zip(sorted(self.frozen.items()),
                                       self.dump_paths(directory)):
-            with open(path, "w", encoding="utf-8") as handle:
+            with JsonlWriter(path) as writer:
                 for record in event.events:
-                    handle.write(json.dumps(record) + "\n")
+                    writer.write(record)
             paths.append(path)
         return paths
 

@@ -2,8 +2,8 @@
 
 A :class:`Telemetry` session records a tree of timed spans
 (``campaign -> setting -> replication``...) plus a registry of
-counters, gauges and histograms, all validated against
-:data:`repro.telemetry.schema.TELEMETRY_SCHEMA`.
+counters, gauges and :class:`~repro.obs.health.LogHistogram`
+histograms, every name declared in :data:`repro.obs.names.NAMES`.
 
 Guarded emission contract (same as ``obs.Probe.active``): library code
 obtains the ambient session with :func:`current` — a plain list peek —
@@ -33,8 +33,9 @@ from types import TracebackType
 from typing import (Any, Callable, Dict, Iterator, List, Mapping,
                     Optional, Tuple, Type, Union)
 
+from repro.obs.health import LogHistogram
+from repro.obs.names import declared
 from repro.telemetry.clock import Clock, WallClock
-from repro.telemetry.schema import TELEMETRY_SCHEMA
 
 #: JSON-able span attribute values.
 Attr = Union[str, int, float, bool, None]
@@ -140,68 +141,34 @@ class Gauge:
         self.value = float(value)
 
 
-class Histogram:
-    """count/total/min/max aggregate of scalar observations."""
-
-    __slots__ = ("name", "count", "total", "min", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
 class Metrics:
-    """Schema-validated registry of counters, gauges and histograms."""
+    """Registry of counters, gauges and histograms declared in
+    :data:`repro.obs.names.NAMES`."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-
-    @staticmethod
-    def _check(name: str, kind: str) -> None:
-        declared = TELEMETRY_SCHEMA.get(name)
-        if declared != kind:
-            raise ValueError(
-                f"telemetry name {name!r} is not a declared {kind} "
-                f"(schema says {declared!r}); add it to "
-                "repro.telemetry.schema.TELEMETRY_SCHEMA")
+        self._histograms: Dict[str, LogHistogram] = {}
 
     def counter(self, name: str) -> Counter:
         metric = self._counters.get(name)
         if metric is None:
-            self._check(name, "counter")
+            declared(name, "counter")
             metric = self._counters[name] = Counter(name)
         return metric
 
     def gauge(self, name: str) -> Gauge:
         metric = self._gauges.get(name)
         if metric is None:
-            self._check(name, "gauge")
+            declared(name, "gauge")
             metric = self._gauges[name] = Gauge(name)
         return metric
 
-    def histogram(self, name: str) -> Histogram:
+    def histogram(self, name: str) -> LogHistogram:
         metric = self._histograms.get(name)
         if metric is None:
-            self._check(name, "histogram")
-            metric = self._histograms[name] = Histogram(name)
+            declared(name, "histogram")
+            metric = self._histograms[name] = LogHistogram()
         return metric
 
     def counters(self) -> List[Counter]:
@@ -210,8 +177,8 @@ class Metrics:
     def gauges(self) -> List[Gauge]:
         return list(self._gauges.values())
 
-    def histograms(self) -> List[Histogram]:
-        return list(self._histograms.values())
+    def histograms(self) -> Dict[str, LogHistogram]:
+        return dict(self._histograms)
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able state, mergeable with :meth:`merge`."""
@@ -221,33 +188,21 @@ class Metrics:
             "gauges": {g.name: g.value
                        for g in self._gauges.values()
                        if g.value is not None},
-            "histograms": {h.name: {"count": h.count,
-                                    "total": h.total,
-                                    "min": h.min, "max": h.max}
-                           for h in self._histograms.values()},
+            "histograms": {name: hist.to_dict()
+                           for name, hist in self._histograms.items()},
         }
 
     def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a worker's snapshot in: counters and histograms add,
-        gauges are last-write-wins."""
+        """Fold a worker's snapshot in: counters and histograms add
+        (integer addition), gauges are last-write-wins."""
         for name, values in snapshot.get("counters", {}).items():
             counter = self.counter(name)
             for label, n in values.items():
                 counter.inc(int(n), label=str(label))
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(float(value))
-        for name, agg in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(name)
-            histogram.count += int(agg["count"])
-            histogram.total += float(agg["total"])
-            if agg.get("min") is not None:
-                low = float(agg["min"])
-                histogram.min = low if histogram.min is None \
-                    else min(histogram.min, low)
-            if agg.get("max") is not None:
-                high = float(agg["max"])
-                histogram.max = high if histogram.max is None \
-                    else max(histogram.max, high)
+        for name, data in snapshot.get("histograms", {}).items():
+            self.histogram(name).merge(LogHistogram.from_dict(data))
 
 
 # ---------------------------------------------------------------------
@@ -317,10 +272,7 @@ class Telemetry:
     def span(self, name: str, label: str = "",
              **attrs: Attr) -> SpanHandle:
         """Context manager opening a child of the innermost open span."""
-        if TELEMETRY_SCHEMA.get(name) != "span":
-            raise ValueError(
-                f"telemetry name {name!r} is not a declared span; add "
-                "it to repro.telemetry.schema.TELEMETRY_SCHEMA")
+        declared(name, "span")
         return _LiveSpanHandle(
             self, Span(name=name, label=label, attrs=dict(attrs)))
 

@@ -4,7 +4,10 @@ The JSONL log is *streamed*: :class:`TelemetryJsonlWriter` registers
 as a span listener and writes one flat line per span as it closes
 (children before parents, with ``id``/``parent`` links), flushing
 after every line — so a run aborted by an exception or a SIGKILL
-leaves a valid, replayable prefix.  Metrics are appended on close.
+leaves a valid, replayable prefix.  Metrics are appended on close,
+each histogram as its :meth:`~repro.obs.health.LogHistogram.to_dict`.
+It shares the :class:`~repro.obs.sinks.JsonlWriter` core with the
+probe-event sink, and :func:`repro.obs.validate_jsonl` checks both.
 Use it as a context manager; ``__exit__`` closes (and flushes) even
 when the block raises.
 
@@ -18,14 +21,10 @@ thread ids so parallelism is visible as stacked lanes.
 from __future__ import annotations
 
 import json
-from types import TracebackType
-from typing import (Any, Dict, IO, List, Mapping, Optional, Tuple,
-                    Type, Union)
+from typing import Any, Dict, IO, List, Mapping, Tuple, Union
 
-from repro.telemetry.core import Span, Telemetry
-from repro.telemetry.schema import TELEMETRY_SCHEMA
-
-JSONL_SCHEMA_VERSION = 1
+from repro.obs.sinks import JSONL_SCHEMA_VERSION, JsonlWriter, iter_jsonl
+from repro.telemetry.core import Metrics, Span, Telemetry
 
 
 def _span_line(span: Span) -> Dict[str, Any]:
@@ -37,98 +36,74 @@ def _span_line(span: Span) -> Dict[str, Any]:
     }
 
 
-class TelemetryJsonlWriter:
-    """Streams a session's spans (and final metrics) to JSONL."""
+class TelemetryJsonlWriter(JsonlWriter):
+    """Streams a session's spans (and final metrics) to JSONL,
+    flushing after every line."""
 
     def __init__(self, tel: Telemetry,
                  target: Union[str, IO[str]]) -> None:
+        super().__init__(target)
         self._tel = tel
-        self._owns_handle = isinstance(target, str)
-        if isinstance(target, str):
-            self._handle: IO[str] = open(target, "w", encoding="utf-8")
-        else:
-            self._handle = target
-        self._closed = False
         self._spans_written = 0
-        self._emit({"type": "meta", "schema": JSONL_SCHEMA_VERSION,
+        self.write({"type": "meta", "schema": JSONL_SCHEMA_VERSION,
                     "source": "repro.telemetry"})
         tel.add_listener(self._on_span)
 
-    def _emit(self, record: Mapping[str, Any]) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+    def write(self, record: Mapping[str, Any]) -> None:
+        super().write(record)
         self._handle.flush()
 
     def _on_span(self, span: Span) -> None:
-        self._emit(_span_line(span))
+        self.write(_span_line(span))
         self._spans_written += 1
 
     def close(self) -> None:
         """Detach, append metrics + end marker, flush; idempotent."""
-        if self._closed:
+        if self.closed:
             return
-        self._closed = True
         self._tel.remove_listener(self._on_span)
         snapshot = self._tel.metrics.snapshot()
         for name, values in snapshot["counters"].items():
-            self._emit({"type": "counter", "name": name,
+            self.write({"type": "counter", "name": name,
                         "values": values})
         for name, value in snapshot["gauges"].items():
-            self._emit({"type": "gauge", "name": name, "value": value})
-        for name, agg in snapshot["histograms"].items():
-            self._emit(dict({"type": "histogram", "name": name}, **agg))
-        self._emit({"type": "end", "spans": self._spans_written})
-        if self._owns_handle:
-            self._handle.close()
-
-    def __enter__(self) -> "TelemetryJsonlWriter":
-        return self
-
-    def __exit__(self, exc_type: Optional[Type[BaseException]],
-                 exc: Optional[BaseException],
-                 tb: Optional[TracebackType]) -> None:
-        self.close()
-        return None
+            self.write({"type": "gauge", "name": name, "value": value})
+        for name, data in snapshot["histograms"].items():
+            self.write(dict({"type": "histogram", "name": name}, **data))
+        self.write({"type": "end", "spans": self._spans_written})
+        super().close()
 
 
-def read_telemetry_jsonl(path: str) \
-        -> Tuple[List[Span], Dict[str, Any]]:
-    """Rebuild (root spans, metrics snapshot) from a JSONL log.
+def read_telemetry_jsonl(path: str) -> Tuple[List[Span], Metrics]:
+    """Rebuild (root spans, metrics) from a JSONL log.
 
     Tolerates aborted logs: any well-formed prefix reconstructs the
     spans that had closed by the time the run died.
     """
     by_id: Dict[int, Span] = {}
     order: List[Tuple[int, int]] = []  # (span_id, parent_id) file order
-    metrics: Dict[str, Any] = {"counters": {}, "gauges": {},
-                               "histograms": {}}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("type")
-            if kind == "span":
-                span = Span(
-                    name=str(record["name"]),
-                    label=str(record.get("label", "")),
-                    attrs=dict(record.get("attrs", {})),
-                    timing=dict(record.get("timing", {})),
-                    t0=float(record["t0"]), t1=float(record["t1"]),
-                    status=str(record.get("status", "ok")),
-                    span_id=int(record["id"]),
-                    parent_id=int(record["parent"]))
-                by_id[span.span_id] = span
-                order.append((span.span_id, span.parent_id))
-            elif kind == "counter":
-                metrics["counters"][record["name"]] = dict(
-                    record["values"])
-            elif kind == "gauge":
-                metrics["gauges"][record["name"]] = record["value"]
-            elif kind == "histogram":
-                metrics["histograms"][record["name"]] = {
-                    key: record[key]
-                    for key in ("count", "total", "min", "max")}
+    metrics = Metrics()
+    for record in iter_jsonl(path):
+        kind = record.get("type")
+        if kind == "span":
+            span = Span(
+                name=str(record["name"]),
+                label=str(record.get("label", "")),
+                attrs=dict(record.get("attrs", {})),
+                timing=dict(record.get("timing", {})),
+                t0=float(record["t0"]), t1=float(record["t1"]),
+                status=str(record.get("status", "ok")),
+                span_id=int(record["id"]),
+                parent_id=int(record["parent"]))
+            by_id[span.span_id] = span
+            order.append((span.span_id, span.parent_id))
+        elif kind == "counter":
+            metrics.merge({"counters": {record["name"]:
+                                        record["values"]}})
+        elif kind == "gauge":
+            metrics.merge({"gauges": {record["name"]: record["value"]}})
+        elif kind == "histogram":
+            metrics.merge({"histograms": {record["name"]: record}})
     roots: List[Span] = []
     for span_id, parent_id in order:  # children precede parents
         parent = by_id.get(parent_id)
@@ -137,74 +112,6 @@ def read_telemetry_jsonl(path: str) \
         else:
             roots.append(by_id[span_id])
     return roots, metrics
-
-
-def validate_telemetry_jsonl(path: str) -> int:
-    """Validate a telemetry JSONL log; returns the record count.
-
-    Raises ValueError (with a line number) on malformed JSON, unknown
-    record types, undeclared or mis-kinded telemetry names, or
-    non-monotone span timestamps.  A missing ``end`` marker is fine —
-    aborted runs stop mid-stream by design — but when present its span
-    count must match.
-    """
-    records = 0
-    spans_seen = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad JSON: {exc}")
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: not an object")
-            kind = record.get("type")
-            if lineno == 1 and kind != "meta":
-                raise ValueError(f"{path}:1: first record must be "
-                                 f"'meta', got {kind!r}")
-            if kind == "meta":
-                if record.get("schema") != JSONL_SCHEMA_VERSION:
-                    raise ValueError(
-                        f"{path}:{lineno}: unsupported schema "
-                        f"{record.get('schema')!r}")
-            elif kind == "span":
-                name = record.get("name")
-                if TELEMETRY_SCHEMA.get(str(name)) != "span":
-                    raise ValueError(
-                        f"{path}:{lineno}: undeclared span {name!r}")
-                if not isinstance(record.get("id"), int) \
-                        or record["id"] < 1 \
-                        or not isinstance(record.get("parent"), int):
-                    raise ValueError(
-                        f"{path}:{lineno}: bad span id/parent")
-                t0, t1 = record.get("t0"), record.get("t1")
-                if not isinstance(t0, (int, float)) \
-                        or not isinstance(t1, (int, float)) \
-                        or t1 < t0:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad span timestamps")
-                spans_seen += 1
-            elif kind in ("counter", "gauge", "histogram"):
-                name = record.get("name")
-                if TELEMETRY_SCHEMA.get(str(name)) != kind:
-                    raise ValueError(
-                        f"{path}:{lineno}: undeclared {kind} {name!r}")
-            elif kind == "end":
-                if record.get("spans") != spans_seen:
-                    raise ValueError(
-                        f"{path}:{lineno}: end marker says "
-                        f"{record.get('spans')} spans, saw "
-                        f"{spans_seen}")
-            else:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown record type {kind!r}")
-            records += 1
-    if records == 0:
-        raise ValueError(f"{path}: empty telemetry log")
-    return records
 
 
 # ---------------------------------------------------------------------
@@ -307,12 +214,15 @@ def summary(tel: Telemetry) -> str:
                 f"  worker utilization: {100.0 * gauge.value:.1f}%")
         else:
             lines.append(f"  {gauge.name} = {gauge.value:.4g}")
-    histograms = [h for h in tel.metrics.histograms() if h.count]
+    histograms = {name: hist for name, hist
+                  in tel.metrics.histograms().items() if hist.count}
     if histograms:
         lines.append("  histograms:")
-        for hist in histograms:
+        for name, hist in histograms.items():
             lines.append(
-                f"    {hist.name}: n={hist.count}"
-                f" mean={hist.mean:.4f}s"
-                f" min={hist.min:.4f}s max={hist.max:.4f}s")
+                f"    {name}: n={hist.count}"
+                f" mean={hist.mean():.4f}s"
+                f" p50={hist.quantile(0.5):.4f}s"
+                f" p99={hist.quantile(0.99):.4f}s"
+                f" max={hist.max:.4f}s")
     return "\n".join(lines)

@@ -161,6 +161,22 @@ class TestStallTrigger:
                 assert a.read() == b.read()
 
 
+    def test_drop_burst_dump_keeps_packets_as_objects(self, tmp_path):
+        campaign = _campaign()
+        recorder = campaign.attach_recorder(
+            triggers=(Trigger(kind="drop_burst", threshold=5.0,
+                              window_s=1.0),), ring_size=16)
+        campaign.run(drain_s=2.0)
+        (path,) = recorder.dump(str(tmp_path))
+        assert validate_jsonl(path) > 0
+        with open(path) as handle:
+            drops = [record for record in map(json.loads, handle)
+                     if record["topic"] == "link.drop"]
+        assert drops
+        assert all(isinstance(r["packet"], dict) and "uid" in r["packet"]
+                   for r in drops)
+
+
 class TestExporters:
     def test_prometheus_exposition_validates(self, instrumented):
         _, _, aggregator, _ = instrumented
@@ -176,6 +192,22 @@ class TestExporters:
         text = prometheus_exposition(aggregator.rollup())
         assert hashlib.sha256(text.encode()).hexdigest() == \
             EXPOSITION_DIGEST
+
+    def test_exposition_type_must_match_the_declared_kind(self):
+        text = ("# TYPE repro_late_fraction gauge\n"
+                "repro_late_fraction 0.5\n")
+        with pytest.raises(ValueError, match="declared a histogram"):
+            validate_exposition(text)
+
+    def test_histogram_series_only_for_histograms(self):
+        text = ("# TYPE repro_campaign_sessions gauge\n"
+                "repro_campaign_sessions_sum 4.0\n")
+        with pytest.raises(ValueError, match="undeclared metric"):
+            validate_exposition(text)
+        text = ("# TYPE repro_late_fraction histogram\n"
+                "repro_late_fraction 0.5\n")
+        with pytest.raises(ValueError, match="undeclared metric"):
+            validate_exposition(text)
 
     def test_health_table_lists_sessions(self, instrumented):
         campaign, _, aggregator, _ = instrumented

@@ -17,7 +17,7 @@ import pytest
 from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
 from repro.experiments.measure import estimate_flow
 from repro.obs import (
-    SCHEMA,
+    NAMES,
     EventBus,
     JsonlSink,
     RecordingSink,
@@ -72,7 +72,7 @@ def video_flow_key(session, idx):
 # ---------------------------------------------------------------------
 def test_unknown_topic_rejected():
     bus = EventBus()
-    with pytest.raises(ValueError, match="unknown probe topic"):
+    with pytest.raises(ValueError, match="not a declared probe"):
         bus.probe("no.such.topic")
 
 
@@ -118,10 +118,21 @@ def test_unsubscribe_and_quiet():
     assert not bus.probe("link.send")
 
 
-def test_schema_fields_are_tuples_of_names():
-    for topic, fields in SCHEMA.items():
-        assert isinstance(fields, tuple) and fields, topic
-        assert all(isinstance(f, str) for f in fields), topic
+def test_schema_entries_are_well_formed():
+    from repro.obs.names import KINDS, prometheus_name
+
+    assert NAMES, "the name table must not be empty"
+    for name, (kind, fields, help_text) in NAMES.items():
+        assert isinstance(name, str) and name
+        assert kind in KINDS, name
+        assert isinstance(fields, tuple), name
+        assert all(isinstance(f, str) and f for f in fields), name
+        assert fields or kind != "probe", name
+        assert isinstance(help_text, str) and help_text, name
+    exposed = [prometheus_name(name)
+               for name, (kind, _, _) in NAMES.items()
+               if kind in ("counter", "gauge", "histogram")]
+    assert len(set(exposed)) == len(exposed)
 
 
 # ---------------------------------------------------------------------
@@ -355,6 +366,16 @@ def test_validate_jsonl_rejects_bad_records(tmp_path):
             {"topic": "client.buffer", "t": 1.0}) + "\n")
     with pytest.raises(ValueError, match="fields"):
         validate_jsonl(path)
+
+
+@pytest.mark.parametrize("time", ["true", "NaN", "Infinity"])
+def test_validate_jsonl_rejects_bool_and_non_finite_times(tmp_path,
+                                                          time):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"topic": "client.buffer", "t": %s, "level": 1}\n'
+                    % time, encoding="utf-8")
+    with pytest.raises(ValueError, match="invalid time"):
+        validate_jsonl(str(path))
 
 
 def test_jsonl_sink_pattern_restriction():

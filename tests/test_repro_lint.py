@@ -171,209 +171,137 @@ def test_rl002_dict_values_fine_without_scheduling(tmp_path):
 
 
 # ---------------------------------------------------------------------
-# RL003 — probe topics / payload arity vs the SCHEMA registry
+# RL003 — names, kinds and emit arity vs the one NAMES table
 # ---------------------------------------------------------------------
-_SCHEMA_FIXTURE = """\
-    SCHEMA = {
-        "link.drop": ("link", "qlen"),
-        "dead.topic": ("value",),
+_NAMES_FIXTURE = """\
+    NAMES = {
+        "link.drop": ("probe", ("link", "qlen"), "drop"),
+        "engine.event": ("probe", ("pending",), "event"),
+        "campaign": ("span", (), "campaign"),
+        "cache.hit": ("counter", ("kind",), "hits"),
+        "executor.utilization": ("gauge", (), "utilization"),
+        "late_fraction": ("histogram", (), "late"),
+        "dead.entry": ("gauge", (), "nobody uses me"),
     }
 """
 
+#: Uses every live entry of the fixture with the declared kind.
+_CLEAN_USES = """\
+    from repro.obs.export import histogram_lines, sample_line
 
-def test_rl003_unknown_topic_bad_arity_and_dead_schema(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/repro/obs/bus.py": _SCHEMA_FIXTURE,
-        "src/repro/sim/link.py": """\
-            class Link:
-                def __init__(self, bus):
-                    self._p_drop = bus.probe("link.drop")
-                    self._p_nope = bus.probe("link.mystery")
+    class Simulator:
+        def __init__(self, bus):
+            self._p_event = bus.probe("engine.event")
+            self._p_drop = bus.probe("link.drop")
 
-                def drop(self, now, qlen):
-                    self._p_drop.emit(now, "me", qlen, "extra")
-        """,
+        def run(self, tel, hist):
+            self._p_event.emit(0.0, 3)
+            self._p_drop.emit(0.0, "me", 4)
+            with tel.span("campaign", label="fig8"):
+                tel.metrics.counter("cache.hit").inc(label="run")
+            return [sample_line("executor.utilization", 0.5)] \\
+                + histogram_lines("late_fraction", hist)
+"""
+
+
+def _rl003(tmp_path, uses):
+    return lint_tree(tmp_path, {
+        "src/repro/obs/names.py": _NAMES_FIXTURE,
+        "src/repro/sim/uses.py": _CLEAN_USES,
+        "src/repro/sim/more.py": uses,
     })
-    got = rules_of(findings)
-    assert got == ["RL003"] * 3
-    messages = [f.message for f in findings]
-    assert any("link.mystery" in m for m in messages)          # unknown
-    assert any("expected time" in m for m in messages)         # arity
-    assert any("dead.topic" in m for m in messages)            # dead
-    # Dead-schema findings land on the SCHEMA entry's own line.
-    dead = [f for f in findings if "dead.topic" in f.message]
-    assert dead[0].path.endswith("bus.py")
 
 
 def test_rl003_clean_when_everything_matches(tmp_path):
     findings = lint_tree(tmp_path, {
-        "src/repro/obs/bus.py": """\
-            SCHEMA = {
-                "link.drop": ("link", "qlen"),
-            }
-        """,
-        "src/repro/sim/link.py": """\
-            class Link:
-                def __init__(self, bus):
-                    self._p_drop = bus.probe("link.drop")
-
-                def drop(self, now, qlen):
-                    self._p_drop.emit(now, "me", qlen)
-        """,
+        "src/repro/obs/names.py": _NAMES_FIXTURE.replace(
+            '        "dead.entry": ("gauge", (), "nobody uses me"),\n',
+            ""),
+        "src/repro/sim/uses.py": _CLEAN_USES,
     })
     assert findings == []
+
+
+def test_rl003_unknown_topic_bad_arity_and_dead_schema(tmp_path):
+    findings = _rl003(tmp_path, """\
+        class Link:
+            def __init__(self, bus, tel):
+                self._p_drop = bus.probe("link.drop")
+                self._p_nope = bus.probe("link.mystery")
+                tel.metrics.gauge("mystery.gauge").set(1.0)
+
+            def drop(self, now, qlen):
+                self._p_drop.emit(now, "me", qlen, "extra")
+    """)
+    assert rules_of(findings) == ["RL003"] * 4
+    messages = [f.message for f in findings]
+    assert any("link.mystery" in m and "not declared" in m
+               for m in messages)                              # unknown
+    assert any("mystery.gauge" in m and "not declared" in m
+               for m in messages)
+    assert any("expected time" in m for m in messages)         # arity
+    # Dead entries land on the entry's own line in the names file.
+    dead = [f for f in findings if "dead.entry" in f.message]
+    assert len(dead) == 1 and dead[0].path.endswith("names.py")
+
+
+def test_rl003_kind_mismatch(tmp_path):
+    findings = _rl003(tmp_path, """\
+        from repro.obs.export import histogram_lines, sample_line
+
+        def run(tel, bus, hist):
+            tel.metrics.counter("executor.utilization").inc()
+            bus.probe("cache.hit")
+            return [sample_line("late_fraction", 1.0)] \\
+                + histogram_lines("cache.hit", hist)
+    """)
+    mismatches = [f.message for f in findings
+                  if "declared as a" in f.message]
+    assert sorted(mismatches) == sorted([
+        "'executor.utilization' is declared as a gauge but used via "
+        "counter()",
+        "'cache.hit' is declared as a counter but used via probe()",
+        "'late_fraction' is declared as a histogram but used via "
+        "sample_line()",
+        "'cache.hit' is declared as a counter but used via "
+        "histogram_lines()",
+    ])
 
 
 def test_rl003_resolves_local_probe_alias(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/repro/obs/bus.py": """\
-            SCHEMA = {
-                "engine.event": ("pending",),
-            }
-        """,
-        "src/repro/sim/engine.py": """\
-            class Simulator:
-                def __init__(self, bus):
-                    self._p_event = bus.probe("engine.event")
+    findings = _rl003(tmp_path, """\
+        class Engine:
+            def __init__(self, bus):
+                self._p_ev = bus.probe("engine.event")
 
-                def run(self):
-                    p_event = self._p_event
-                    p_event.emit(0.0)
-        """,
-    })
+            def run(self):
+                p_ev = self._p_ev
+                p_ev.emit(0.0)
+    """)
     # The aliased emit carries 0 payload values against 1 declared.
-    assert rules_of(findings) == ["RL003"]
+    arity = [f for f in findings if "expected time" in f.message]
+    assert len(arity) == 1 and arity[0].path.endswith("more.py")
 
 
-# ---------------------------------------------------------------------
-# RL003 (telemetry half) — names vs the TELEMETRY_SCHEMA registry
-# ---------------------------------------------------------------------
-_TELEMETRY_SCHEMA_FIXTURE = """\
-    TELEMETRY_SCHEMA = {
-        "campaign": "span",
-        "cache.hit": "counter",
-        "executor.utilization": "gauge",
-        "dead.histogram": "histogram",
-    }
-"""
+def test_rl003_resolves_probe_bound_in_a_base_class(tmp_path):
+    findings = _rl003(tmp_path, """\
+        from repro.sim.uses import Simulator
+
+        class Child(Simulator):
+            def fire(self):
+                self._p_drop.emit(1.0, "me")
+    """)
+    arity = [f for f in findings if "expected time" in f.message]
+    assert len(arity) == 1 and "'link.drop'" in arity[0].message
 
 
-def test_rl003_telemetry_unknown_name_kind_mismatch_and_dead_entry(
-        tmp_path):
+def test_rl003_inert_without_names_file(tmp_path):
     findings = lint_tree(tmp_path, {
-        "src/repro/telemetry/schema.py": _TELEMETRY_SCHEMA_FIXTURE,
-        "src/repro/experiments/work.py": """\
-            def run(tel):
-                with tel.span("campaign"):
-                    tel.metrics.counter("cache.hit").inc()
-                    tel.metrics.counter("executor.utilization").inc()
-                    tel.metrics.gauge("mystery").set(0.5)
-        """,
-    })
-    assert rules_of(findings) == ["RL003"] * 3
-    messages = [f.message for f in findings]
-    assert any("mystery" in m and "not declared" in m
-               for m in messages)
-    assert any("executor.utilization" in m and "gauge" in m
-               and ".counter()" in m for m in messages)
-    dead = [f for f in findings if "dead.histogram" in f.message]
-    assert len(dead) == 1 and dead[0].path.endswith("schema.py")
-
-
-def test_rl003_telemetry_clean_when_everything_matches(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/repro/telemetry/schema.py": """\
-            TELEMETRY_SCHEMA = {
-                "campaign": "span",
-                "cache.hit": "counter",
-            }
-        """,
-        "src/repro/experiments/work.py": """\
-            def run(tel):
-                with tel.span("campaign", label="fig8"):
-                    tel.metrics.counter("cache.hit").inc(label="run")
-        """,
-    })
-    assert findings == []
-
-
-def test_rl003_telemetry_inert_without_schema_file(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/repro/experiments/work.py": """\
-            def run(tel):
+        "src/repro/sim/more.py": """\
+            def run(tel, bus):
+                bus.probe("anything.goes").emit(0.0, 1, 2, 3)
                 with tel.span("anything.goes"):
                     pass
-        """,
-    })
-    assert findings == []
-
-
-# ---------------------------------------------------------------------
-# RL003 (Prometheus half) — names vs the PROMETHEUS_METRICS registry
-# ---------------------------------------------------------------------
-_PROMETHEUS_REGISTRY_FIXTURE = """\
-    PROMETHEUS_METRICS = {
-        "repro_up": ("gauge", "liveness"),
-        "repro_drops_total": ("counter", "drops"),
-        "repro_delay_seconds": ("histogram", "delay dist"),
-        "repro_dead_metric": ("gauge", "nobody emits me"),
-    }
-"""
-
-
-def test_rl003_prometheus_unknown_name_kind_mismatch_and_dead_entry(
-        tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/repro/obs/export.py": _PROMETHEUS_REGISTRY_FIXTURE,
-        "src/repro/obs/emit.py": """\
-            from repro.obs.export import histogram_lines, sample_line
-
-            def exposition(hist):
-                lines = [sample_line("repro_up", 1.0)]
-                lines.append(sample_line("repro_mystery", 2.0))
-                lines += histogram_lines("repro_drops_total", hist)
-                return lines
-        """,
-    })
-    assert rules_of(findings) == ["RL003"] * 4
-    messages = [f.message for f in findings]
-    assert any("repro_mystery" in m and "not registered" in m
-               for m in messages)
-    assert any("repro_drops_total" in m and "counter" in m
-               and "histogram_lines" in m for m in messages)
-    dead = [f for f in findings if "dead Prometheus" in f.message]
-    assert all(f.path.endswith("export.py") for f in dead)
-    assert sorted(m.split("'")[1] for m in
-                  (f.message for f in dead)) == [
-        "repro_dead_metric", "repro_delay_seconds"]
-
-
-def test_rl003_prometheus_clean_when_everything_matches(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/repro/obs/export.py": """\
-            PROMETHEUS_METRICS = {
-                "repro_up": ("gauge", "liveness"),
-                "repro_delay_seconds": ("histogram", "delay dist"),
-            }
-        """,
-        "src/repro/obs/emit.py": """\
-            import repro.obs.export as export
-
-            def exposition(hist):
-                lines = [export.sample_line("repro_up", 1.0)]
-                lines += export.histogram_lines(
-                    "repro_delay_seconds", hist)
-                return lines
-        """,
-    })
-    assert findings == []
-
-
-def test_rl003_prometheus_inert_without_export_file(tmp_path):
-    findings = lint_tree(tmp_path, {
-        "src/repro/obs/emit.py": """\
-            def exposition(sample_line):
-                return [sample_line("repro_anything", 1.0)]
         """,
     })
     assert findings == []

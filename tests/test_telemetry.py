@@ -27,10 +27,11 @@ from repro.experiments.parallel import ModelTask, ReplicationExecutor
 from repro.experiments.configs import Setting
 from repro.experiments.runner import ScaleProfile, run_setting
 from repro.model.tcp_chain import FlowParams
+from repro.obs import validate_jsonl
+from repro.obs.health import LogHistogram
 from repro.telemetry import (
     NULL_TELEMETRY,
     Span,
-    TELEMETRY_SCHEMA,
     TelemetryJsonlWriter,
     VirtualClock,
 )
@@ -59,13 +60,6 @@ def _traced_triple(x):
 # ---------------------------------------------------------------------
 # Schema
 # ---------------------------------------------------------------------
-def test_schema_entries_are_well_formed():
-    assert TELEMETRY_SCHEMA, "schema must not be empty"
-    for name, kind in TELEMETRY_SCHEMA.items():
-        assert isinstance(name, str) and name
-        assert kind in ("span", "counter", "gauge", "histogram")
-
-
 def test_undeclared_names_are_rejected():
     with telemetry.session() as tel:
         with pytest.raises(ValueError, match="not a declared span"):
@@ -183,8 +177,9 @@ def test_counter_gauge_histogram_basics():
         assert g.value == 0.75
         h = tel.metrics.histogram("executor.item_seconds")
         for v in (1.0, 3.0):
-            h.observe(v)
-        assert (h.count, h.mean, h.min, h.max) == (2, 2.0, 1.0, 3.0)
+            h.record(v)
+        assert isinstance(h, LogHistogram)
+        assert (h.count, h.mean(), h.min, h.max) == (2, 2.0, 1.0, 3.0)
         # get-or-create returns the same object.
         assert tel.metrics.counter("cache.hit") is c
 
@@ -193,16 +188,39 @@ def test_metrics_snapshot_merge_adds_and_overwrites():
     with telemetry.session() as a:
         a.metrics.counter("cache.hit").inc(label="run")
         a.metrics.gauge("executor.utilization").set(0.5)
-        a.metrics.histogram("executor.item_seconds").observe(2.0)
+        a.metrics.histogram("executor.item_seconds").record(2.0)
         snap = a.metrics.snapshot()
     with telemetry.session() as b:
         b.metrics.counter("cache.hit").inc(label="run")
-        b.metrics.histogram("executor.item_seconds").observe(6.0)
+        b.metrics.histogram("executor.item_seconds").record(6.0)
         b.metrics.merge(snap)
         assert b.metrics.counter("cache.hit").values == {"run": 2}
         assert b.metrics.gauge("executor.utilization").value == 0.5
         h = b.metrics.histogram("executor.item_seconds")
         assert (h.count, h.min, h.max) == (2, 2.0, 6.0)
+
+
+def test_metrics_merge_equals_recording_the_union():
+    first = [0.01 * k for k in range(1, 40)]
+    second = [0.5, 0.0, 2.25, 0.013, 7.0]
+    snapshots = []
+    for samples in (first, second):
+        with telemetry.session() as tel:
+            hist = tel.metrics.histogram("executor.item_seconds")
+            for value in samples:
+                hist.record(value)
+            snapshots.append(json.loads(json.dumps(
+                tel.metrics.snapshot())))
+    with telemetry.session() as merged, telemetry.session() as union:
+        for snapshot in snapshots:
+            merged.metrics.merge(snapshot)
+        hist = union.metrics.histogram("executor.item_seconds")
+        for value in first + second:
+            hist.record(value)
+    got = merged.metrics.histogram("executor.item_seconds")
+    assert got.to_dict() == hist.to_dict()
+    assert got.count == len(first) + len(second)
+    assert got.quantile(0.99) == hist.quantile(0.99) > 0.0
 
 
 # ---------------------------------------------------------------------
@@ -290,14 +308,16 @@ def test_jsonl_writer_round_trip(tmp_path):
                     clock.advance(0.5)
             tel.metrics.counter("cache.hit").inc(label="run")
             tel.metrics.gauge("executor.utilization").set(0.5)
-            tel.metrics.histogram("executor.item_seconds").observe(2.0)
-    assert telemetry.validate_telemetry_jsonl(path) >= 5
+            tel.metrics.histogram("executor.item_seconds").record(2.0)
+    assert validate_jsonl(path) >= 5
     roots, metrics = telemetry.read_telemetry_jsonl(path)
     assert [r.signature() for r in roots] \
         == [r.signature() for r in tel.roots]
-    assert metrics["counters"]["cache.hit"] == {"run": 1}
-    assert metrics["gauges"]["executor.utilization"] == 0.5
-    assert metrics["histograms"]["executor.item_seconds"]["count"] == 1
+    assert metrics.snapshot() == tel.metrics.snapshot()
+    assert metrics.counter("cache.hit").values == {"run": 1}
+    assert metrics.gauge("executor.utilization").value == 0.5
+    hist = metrics.histograms()["executor.item_seconds"]
+    assert hist.count == 1 and hist.quantile(0.99) > 0.0
     first = json.loads(open(path, encoding="utf-8").readline())
     assert first["type"] == "meta"
 
@@ -314,7 +334,7 @@ def test_jsonl_writer_flushes_on_exception(tmp_path):
                     raise RuntimeError("campaign died")
     # __exit__ closed the writer: the log is complete and valid, and
     # the crashed span carries the error status.
-    telemetry.validate_telemetry_jsonl(path)
+    validate_jsonl(path)
     roots, _ = telemetry.read_telemetry_jsonl(path)
     assert roots[0].status == "error"
     assert roots[0].children[0].status == "ok"
@@ -334,7 +354,7 @@ def test_jsonl_hard_abort_leaves_valid_prefix(tmp_path):
             # ... process dies here; close() never runs.
         tel.remove_listener(writer._on_span)
         writer._handle.close()
-    assert telemetry.validate_telemetry_jsonl(path) == 3  # meta + 2
+    assert validate_jsonl(path) == 3  # meta + 2
     roots, _ = telemetry.read_telemetry_jsonl(path)
     assert [s.name for s in roots[0].walk()] == ["campaign", "setting"]
 
@@ -342,21 +362,40 @@ def test_jsonl_hard_abort_leaves_valid_prefix(tmp_path):
 def test_validate_rejects_bad_logs(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"type": "span"}\n', encoding="utf-8")
-    with pytest.raises(ValueError, match="first record"):
-        telemetry.validate_telemetry_jsonl(str(bad))
+    with pytest.raises(ValueError, match="before the 'meta'"):
+        validate_jsonl(str(bad))
+    bad.write_text('{"type": "meta", "schema": 1}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported schema"):
+        validate_jsonl(str(bad))
     bad.write_text(
-        '{"type": "meta", "schema": 1}\n'
+        '{"type": "meta", "schema": 2}\n'
         '{"type": "span", "name": "nope", "id": 1, "parent": 0,'
         ' "t0": 0.0, "t1": 1.0}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="undeclared span"):
-        telemetry.validate_telemetry_jsonl(str(bad))
-    bad.write_text('{"type": "meta", "schema": 1}\n'
+        validate_jsonl(str(bad))
+    bad.write_text('{"type": "meta", "schema": 2}\n'
                    '{"type": "end", "spans": 7}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="end marker"):
-        telemetry.validate_telemetry_jsonl(str(bad))
+        validate_jsonl(str(bad))
     bad.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty"):
-        telemetry.validate_telemetry_jsonl(str(bad))
+        validate_jsonl(str(bad))
+
+
+@pytest.mark.parametrize("record", [
+    '{"type": "histogram", "name": "executor.item_seconds"}',
+    '{"type": "histogram", "name": "executor.item_seconds",'
+    ' "buckets": {"3": 2}, "zero": 0, "count": 5, "sum": 1.0,'
+    ' "min": 0.5, "max": 0.5}',
+    '{"type": "counter", "name": "cache.hit", "values": "oops"}',
+    '{"type": "counter", "name": "cache.hit", "values": {"run": 1.5}}',
+])
+def test_validate_rejects_unreadable_metric_payloads(tmp_path, record):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"type": "meta", "schema": 2}\n' + record + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="unreadable"):
+        validate_jsonl(str(path))
 
 
 # ---------------------------------------------------------------------
@@ -404,12 +443,13 @@ def test_summary_reports_rates_and_aggregates():
         tel.metrics.counter("cache.hit").inc(3, label="run")
         tel.metrics.counter("cache.miss").inc(1, label="run")
         tel.metrics.gauge("executor.utilization").set(0.805)
-        tel.metrics.histogram("executor.item_seconds").observe(1.5)
+        tel.metrics.histogram("executor.item_seconds").record(1.5)
     text = telemetry.summary(tel)
     assert "campaign" in text
     assert "cache hit rate: 75.0%" in text
     assert "worker utilization: 80.5%" in text
     assert "executor.item_seconds: n=1" in text
+    assert "p99=" in text
 
 
 def test_summary_of_empty_session_is_calm():

@@ -5,7 +5,8 @@ package encodes the *domain* invariants that every PR so far has had to
 defend by hand:
 
 * bit-identical determinism under a seeded RNG (RL001, RL002),
-* probe payloads matching the ``repro.obs`` SCHEMA registry (RL003),
+* observability names and probe payloads matching the one name table,
+  ``repro.obs.names.NAMES`` (RL003),
 * cache keys covering every field that affects results (RL004),
 * no float equality in the analytical model (RL005).
 

@@ -5,7 +5,7 @@ inspect a unified diff)."""
 from tools.repro_lint.rules import (
     rl001_wallclock,
     rl002_unordered,
-    rl003_probe_schema,
+    rl003_names,
     rl004_cache_key,
     rl005_float_eq,
     rl006_z3_float,
@@ -14,7 +14,7 @@ from tools.repro_lint.rules import (
 ALL_RULES = (
     rl001_wallclock,
     rl002_unordered,
-    rl003_probe_schema,
+    rl003_names,
     rl004_cache_key,
     rl005_float_eq,
     rl006_z3_float,
