@@ -308,6 +308,139 @@ def test_rl003_inert_without_names_file(tmp_path):
 
 
 # ---------------------------------------------------------------------
+# RL003 on telemetry names — spans and metric accessors
+# ---------------------------------------------------------------------
+_TELEMETRY_NAMES_FIXTURE = """\
+    NAMES = {
+        "campaign": ("span", (), "campaign"),
+        "cache.hit": ("counter", ("kind",), "hits"),
+        "executor.utilization": ("gauge", (), "utilization"),
+        "dead.histogram": ("histogram", (), "nobody records me"),
+    }
+"""
+
+
+def test_rl003_telemetry_unknown_name_kind_mismatch_and_dead_entry(
+        tmp_path):
+    findings = lint_tree(tmp_path, {
+        "src/repro/obs/names.py": _TELEMETRY_NAMES_FIXTURE,
+        "src/repro/experiments/work.py": """\
+            def run(tel):
+                with tel.span("campaign"):
+                    tel.metrics.counter("cache.hit").inc()
+                    tel.metrics.counter("executor.utilization").inc()
+                    tel.metrics.gauge("mystery").set(0.5)
+        """,
+    })
+    assert rules_of(findings) == ["RL003"] * 3
+    messages = [f.message for f in findings]
+    assert any("'mystery'" in m and "not declared" in m
+               for m in messages)
+    assert any("executor.utilization" in m and "gauge" in m
+               and "counter()" in m for m in messages)
+    dead = [f for f in findings if "dead.histogram" in f.message]
+    assert len(dead) == 1 and dead[0].path.endswith("names.py")
+
+
+def test_rl003_telemetry_clean_when_everything_matches(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "src/repro/obs/names.py": """\
+            NAMES = {
+                "campaign": ("span", (), "campaign"),
+                "cache.hit": ("counter", ("kind",), "hits"),
+            }
+        """,
+        "src/repro/experiments/work.py": """\
+            def run(tel):
+                with tel.span("campaign", label="fig8"):
+                    tel.metrics.counter("cache.hit").inc(label="run")
+        """,
+    })
+    assert findings == []
+
+
+def test_rl003_telemetry_inert_without_schema_file(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "src/repro/experiments/work.py": """\
+            def run(tel):
+                with tel.span("anything.goes"):
+                    tel.metrics.counter("anything.else").inc()
+        """,
+    })
+    assert findings == []
+
+
+# ---------------------------------------------------------------------
+# RL003 on exposition names — sample_line() and histogram_lines()
+# ---------------------------------------------------------------------
+_EXPOSITION_NAMES_FIXTURE = """\
+    NAMES = {
+        "up": ("gauge", (), "liveness"),
+        "drops": ("counter", (), "drops"),
+        "delay_seconds": ("histogram", (), "delay dist"),
+        "dead_metric": ("gauge", (), "nobody emits me"),
+    }
+"""
+
+
+def test_rl003_prometheus_unknown_name_kind_mismatch_and_dead_entry(
+        tmp_path):
+    findings = lint_tree(tmp_path, {
+        "src/repro/obs/names.py": _EXPOSITION_NAMES_FIXTURE,
+        "src/repro/obs/emit.py": """\
+            from repro.obs.export import histogram_lines, sample_line
+
+            def exposition(hist):
+                lines = [sample_line("up", 1.0)]
+                lines.append(sample_line("mystery", 2.0))
+                lines += histogram_lines("drops", hist)
+                return lines
+        """,
+    })
+    assert rules_of(findings) == ["RL003"] * 4
+    messages = [f.message for f in findings]
+    assert any("'mystery'" in m and "not declared" in m
+               for m in messages)
+    assert any("'drops'" in m and "counter" in m
+               and "histogram_lines()" in m for m in messages)
+    dead = [f for f in findings if "dead NAMES entry" in f.message]
+    assert all(f.path.endswith("names.py") for f in dead)
+    assert sorted(f.message.split("'")[1] for f in dead) == [
+        "dead_metric", "delay_seconds"]
+
+
+def test_rl003_prometheus_clean_when_everything_matches(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "src/repro/obs/names.py": """\
+            NAMES = {
+                "up": ("gauge", (), "liveness"),
+                "delay_seconds": ("histogram", (), "delay dist"),
+            }
+        """,
+        "src/repro/obs/emit.py": """\
+            import repro.obs.export as export
+
+            def exposition(hist):
+                lines = [export.sample_line("up", 1.0)]
+                lines += export.histogram_lines("delay_seconds", hist)
+                return lines
+        """,
+    })
+    assert findings == []
+
+
+def test_rl003_prometheus_inert_without_export_file(tmp_path):
+    findings = lint_tree(tmp_path, {
+        "src/repro/obs/emit.py": """\
+            def exposition(sample_line, histogram_lines, hist):
+                return [sample_line("anything", 1.0)] \\
+                    + histogram_lines("anything", hist)
+        """,
+    })
+    assert findings == []
+
+
+# ---------------------------------------------------------------------
 # RL004 — cache-key completeness and the CODE_VERSION diff policy
 # ---------------------------------------------------------------------
 _CACHE_FIXTURE = """\

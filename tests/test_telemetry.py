@@ -29,6 +29,7 @@ from repro.experiments.runner import ScaleProfile, run_setting
 from repro.model.tcp_chain import FlowParams
 from repro.obs import validate_jsonl
 from repro.obs.health import LogHistogram
+from repro.obs.names import KINDS, NAMES, prometheus_name
 from repro.telemetry import (
     NULL_TELEMETRY,
     Span,
@@ -60,6 +61,18 @@ def _traced_triple(x):
 # ---------------------------------------------------------------------
 # Schema
 # ---------------------------------------------------------------------
+def test_schema_entries_are_well_formed():
+    assert NAMES, "the name table must not be empty"
+    for name, (kind, _, help_text) in NAMES.items():
+        assert isinstance(name, str) and name
+        assert kind in KINDS, name
+        assert isinstance(help_text, str) and help_text, name
+    exposed = [prometheus_name(name)
+               for name, (kind, _, _) in NAMES.items()
+               if kind in ("counter", "gauge", "histogram")]
+    assert len(set(exposed)) == len(exposed)
+
+
 def test_undeclared_names_are_rejected():
     with telemetry.session() as tel:
         with pytest.raises(ValueError, match="not a declared span"):
