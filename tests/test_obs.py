@@ -274,6 +274,38 @@ def test_jsonl_stream_bit_identical_to_pinned_digest(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == JSONL_DIGEST
 
 
+# The same stream with every engine.* line removed.  Engine lines
+# report calendar mechanics (pops, heap length, compactions), so a
+# change to how the calendar is kept moves them; every other topic is
+# the simulated network, the TCP flows and the session, and must not.
+JSONL_NON_ENGINE_N_LINES = 41779
+JSONL_NON_ENGINE_DIGEST = \
+    "c2a18080462a83132058a1954eb33310bb18c76226f2354d25e56e15bfb5deec"
+
+
+def test_jsonl_stream_without_engine_lines_pinned(monkeypatch):
+    import itertools
+
+    import repro.sim.packet as packet_module
+    from repro.experiments.configs import ALL_SETTINGS
+
+    monkeypatch.setattr(packet_module, "_uid_counter", itertools.count())
+    setting = ALL_SETTINGS[GOLDEN_SETTING]
+    session = MultiSessionCampaign(
+        mu=setting.mu, duration_s=2.0, warmup_s=1.0,
+        paths=setting.path_configs(),
+        shared_bottleneck=setting.shared_bottleneck, seed=JSONL_SEED)
+    buffer = io.StringIO()
+    session.attach_jsonl(buffer)
+    session.run(drain_s=1.0)
+    kept = [line for line in buffer.getvalue().splitlines()
+            if not json.loads(line)["topic"].startswith("engine.")]
+    assert len(kept) == JSONL_NON_ENGINE_N_LINES
+    text = "".join(line + "\n" for line in kept)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == JSONL_NON_ENGINE_DIGEST
+
+
 def test_trace_sink_link_filter():
     session = tiny_session(seed=3)
     unfiltered = TraceSink()
