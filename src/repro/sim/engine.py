@@ -11,16 +11,20 @@ probes cost one ``active``-flag load per emission site.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import random
-from typing import (TYPE_CHECKING, Any, Callable, List, Optional,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Iterator, List,
+                    Optional, Tuple)
 
 from repro.obs.bus import EventBus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.pool import PacketPool
+
+#: Bound once: ``Simulator.at`` runs for every calendar entry.
+_heappush = heapq.heappush
 
 #: Cancelled events are removed lazily; the heap is compacted when more
 #: than half the calendar is dead weight (and it is worth the rebuild).
@@ -50,12 +54,12 @@ class Event:
         self.calendar = calendar
 
     def cancel(self) -> None:
-        """Prevent this event from firing."""
+        """Prevent this event from firing; a no-op once it has fired."""
         if self.cancelled:
             return
         self.cancelled = True
         if self.calendar is not None:
-            self.calendar._note_cancelled()
+            self.calendar._note_cancelled(self)
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -63,6 +67,86 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} {self.callback!r} {state}>"
+
+
+class Timer:
+    """A re-armable timer that keeps at most one calendar entry.
+
+    :meth:`set` arms the timer for an absolute ``deadline`` (re-arming
+    it if armed), :meth:`clear` disarms it, and :attr:`deadline` reads
+    the armed expiry (``None`` when disarmed).  ``callback()`` runs
+    once per arming, when the deadline is reached, at exactly the
+    place in the calendar's ``(time, seq)`` order that cancelling and
+    rescheduling an event on every ``set`` would give it:
+
+    * each ``set`` draws the tie-break key that a fresh event would
+      draw, so every other event keeps the key it would have had;
+    * a later deadline leaves the pending entry where it is; an entry
+      that pops before the deadline, or at it under an older key,
+      re-enters the calendar at the deadline under the current key;
+    * an earlier deadline cancels the entry and schedules a new one;
+    * an entry that pops while the timer is cleared is dropped.
+
+    Entries are scheduled through :meth:`Simulator.at` like any other
+    event, and the entry callback carries ``callback``'s name and
+    module, so code that wraps ``at`` to account events per callback
+    sees each timer entry under its owner.
+    """
+
+    __slots__ = ("deadline", "_sim", "_callback", "_key", "_entry",
+                 "_pop")
+
+    def __init__(self, sim: "Simulator",
+                 callback: Callable[[], Any]) -> None:
+        self.deadline: Optional[float] = None
+        self._sim = sim
+        self._callback = callback
+        self._key = -1  # tie-break key of the current deadline
+        self._entry: Optional[Event] = None
+
+        def pop() -> None:
+            self._on_pop()
+        self._pop: Callable[[], None] = functools.wraps(callback)(pop)
+
+    def set(self, deadline: float) -> None:
+        """Arm the timer to expire at absolute time ``deadline``."""
+        sim = self._sim
+        entry = self._entry
+        if entry is None or entry.time > deadline:
+            self._entry = sim.at(deadline, self._pop)
+            self._key = self._entry.seq
+            if entry is not None:
+                entry.cancel()
+        else:
+            # The pending entry is due no later than the deadline (so
+            # the deadline is not in the past); it re-enters on pop.
+            self._key = next(sim._counter)
+        self.deadline = deadline
+
+    def clear(self) -> None:
+        """Disarm the timer; its pending entry is dropped when it pops."""
+        self.deadline = None
+
+    def _on_pop(self) -> None:
+        entry = self._entry
+        assert entry is not None
+        self._entry = None
+        deadline = self.deadline
+        if deadline is None:
+            return
+        if deadline == entry.time and self._key == entry.seq:
+            self.deadline = None
+            self._callback()
+            return
+        # Re-enter under the current key: ``at`` draws its key from
+        # the counter, so hand it exactly this one.
+        sim = self._sim
+        counter = sim._counter
+        sim._counter = iter((self._key,))
+        try:
+            self._entry = sim.at(deadline, self._pop)
+        finally:
+            sim._counter = counter
 
 
 class Simulator:
@@ -87,7 +171,7 @@ class Simulator:
         # comparisons per event a Python ``__lt__`` dominates the
         # run-loop profile.
         self._heap: List[Tuple[float, int, Event]] = []
-        self._counter = itertools.count()
+        self._counter: Iterator[int] = itertools.count()
         self.rng = random.Random(seed)
         self._processed = 0
         self._cancelled = 0
@@ -117,15 +201,26 @@ class Simulator:
         if time < self.now:
             raise ValueError(
                 f"cannot schedule in the past: {time} < {self.now}")
-        event = Event(time, next(self._counter), callback, args,
-                      calendar=self)
-        heapq.heappush(self._heap, (time, event.seq, event))
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args, self)
+        _heappush(self._heap, (time, seq, event))
         return event
+
+    def timer(self, callback: Callable[[], Any]) -> Timer:
+        """A disarmed :class:`Timer` running ``callback()`` on expiry."""
+        return Timer(self, callback)
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
     # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
+    def _note_cancelled(self, event: Event) -> None:
+        # An event that has already fired is no longer in the heap and
+        # must not count.  Times never go backwards, so only an event
+        # due at the current instant needs the membership scan.
+        if event.time < self.now or (
+                event.time == self.now
+                and all(entry[2] is not event for entry in self._heap)):
+            return
         self._cancelled += 1
         if len(self._heap) > _COMPACT_MIN_SIZE \
                 and self._cancelled * 2 > len(self._heap):
@@ -199,5 +294,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Live events still in the calendar (net of cancellations)."""
+        """Live events still in the calendar (net of cancellations).
+
+        A cleared :class:`Timer`'s entry counts until it pops."""
         return len(self._heap) - self._cancelled

@@ -33,4 +33,4 @@ class NewRenoSender(RenoSender):
                         self.cwnd - acked + 1.0)
         if self._buffer:
             self._transmit(self.snd_una, retransmit=True)
-        self._arm_rto(restart=True)
+        self._arm_rto()

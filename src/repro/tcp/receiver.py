@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.node import Node
 from repro.sim.packet import Packet
 from repro.tcp.reno import ACK_SIZE_BYTES
@@ -32,7 +32,7 @@ class TcpReceiver:
                  window_provider: Optional[Callable[[], int]] = None,
                  sack_enabled: bool = False,
                  max_sack_blocks: int = 4,
-                 port: Optional[int] = None):
+                 port: Optional[int] = None) -> None:
         self.sim = sim
         self.node = node
         self.on_deliver = on_deliver
@@ -54,8 +54,8 @@ class TcpReceiver:
         self.rcv_nxt = 0
         self._ooo: Dict[int, Any] = {}
         self._unacked_segments = 0
-        self._delack_event: Optional[Event] = None
-        self._peer: Optional[tuple] = None
+        self._delack = sim.timer(self._on_delack_timer)
+        self._peer: Optional[Tuple[str, int]] = None
 
         self.segments_received = 0
         self.duplicates = 0
@@ -91,9 +91,8 @@ class TcpReceiver:
         self._unacked_segments += 1
         if self._unacked_segments >= self.delack_every:
             self._send_ack()
-        elif self._delack_event is None:
-            self._delack_event = self.sim.schedule(
-                self.delack_interval, self._on_delack_timer)
+        elif self._delack.deadline is None:
+            self._delack.set(self.sim.now + self.delack_interval)
 
     def _deliver(self, payload: Any, seq: int) -> None:
         self.delivered += 1
@@ -102,16 +101,13 @@ class TcpReceiver:
 
     # ------------------------------------------------------------------
     def _on_delack_timer(self) -> None:
-        self._delack_event = None
         if self._unacked_segments > 0:
             self._send_ack()
 
     def _send_ack(self) -> None:
         if self._peer is None:
             return
-        if self._delack_event is not None:
-            self._delack_event.cancel()
-            self._delack_event = None
+        self._delack.clear()
         self._unacked_segments = 0
         self.acks_sent += 1
         peer_name, peer_port = self._peer
@@ -133,11 +129,11 @@ class TcpReceiver:
             ack.payload = self._sack_blocks()
         self.node.send(ack)
 
-    def _sack_blocks(self) -> tuple:
+    def _sack_blocks(self) -> Tuple[Tuple[int, int], ...]:
         """Contiguous out-of-order ranges as (start, end) pairs,
         end-exclusive, highest ranges first, capped per RFC 2018."""
         seqs = sorted(self._ooo)
-        blocks = []
+        blocks: List[Tuple[int, int]] = []
         start = prev = seqs[0]
         for seq in seqs[1:]:
             if seq == prev + 1:

@@ -10,9 +10,9 @@ capacity, so the next packet goes to whichever path unblocks first.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.node import Node
 from repro.sim.packet import Packet
 from repro.tcp.estimator import RttEstimator
@@ -48,7 +48,7 @@ class RenoSender:
                  on_send_space: Optional[Callable[["RenoSender"], None]]
                  = None,
                  port: Optional[int] = None,
-                 name: Optional[str] = None):
+                 name: Optional[str] = None) -> None:
         self.sim = sim
         self.node = node
         self.dst_name = dst_name
@@ -84,11 +84,11 @@ class RenoSender:
         self.snd_una = 0          # lowest unacknowledged
         self.snd_nxt = 0          # next new segment to transmit
         self.snd_max = 0          # highest segment ever transmitted + 1
-        self._buffer: deque = deque()   # payloads for snd_una..
+        self._buffer: Deque[Any] = deque()   # payloads for snd_una..
 
         # Timers / RTT.
         self.estimator = RttEstimator(min_rto=min_rto)
-        self._rto_event: Optional[Event] = None
+        self._rto = sim.timer(self._on_timeout)
         self.backoff_exp = 0
         self._timed_seq: Optional[int] = None
         self._timed_at = 0.0
@@ -99,7 +99,7 @@ class RenoSender:
         self.timeouts = 0
         self.fast_retransmits = 0
         self.acked_segments = 0
-        self.rto_history: list = []
+        self.rto_history: List[Tuple[float, float]] = []
         self.closed = False
 
     # ------------------------------------------------------------------
@@ -169,7 +169,7 @@ class RenoSender:
             self.snd_nxt += 1
             if self.snd_nxt > self.snd_max:
                 self.snd_max = self.snd_nxt
-        if self.outstanding > 0 and self._rto_event is None:
+        if self.outstanding > 0 and self._rto.deadline is None:
             self._arm_rto()
 
     def _transmit(self, seq: int, retransmit: bool) -> None:
@@ -247,9 +247,9 @@ class RenoSender:
         self._emit_cwnd()
 
         if self.outstanding > 0:
-            self._arm_rto(restart=True)
+            self._arm_rto()
         else:
-            self._cancel_rto()
+            self._rto.clear()
 
         self._try_send()
         if self.on_send_space is not None and self.free_space() > 0:
@@ -281,7 +281,7 @@ class RenoSender:
                                       self.snd_una)
             self._emit_cwnd()
             self._transmit(self.snd_una, retransmit=True)
-            self._arm_rto(restart=True)
+            self._arm_rto()
 
     def _emit_cwnd(self) -> None:
         if self._p_cwnd.active:
@@ -294,21 +294,11 @@ class RenoSender:
     def _current_rto(self) -> float:
         return self.estimator.backed_off(self.backoff_exp)
 
-    def _arm_rto(self, restart: bool = False) -> None:
-        if self._rto_event is not None:
-            if not restart:
-                return
-            self._rto_event.cancel()
-        self._rto_event = self.sim.schedule(
-            self._current_rto(), self._on_timeout)
-
-    def _cancel_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+    def _arm_rto(self) -> None:
+        """(Re)start the retransmission timer at the current RTO."""
+        self._rto.set(self.sim.now + self._current_rto())
 
     def _on_timeout(self) -> None:
-        self._rto_event = None
         if self.outstanding == 0:
             return
         self.timeouts += 1
@@ -327,7 +317,7 @@ class RenoSender:
         # Go-back-N: rewind and retransmit the first unacked segment.
         self.snd_nxt = self.snd_una + 1
         self._transmit(self.snd_una, retransmit=True)
-        self._arm_rto(restart=True)
+        self._arm_rto()
 
     # ------------------------------------------------------------------
     @property

@@ -78,7 +78,7 @@ class SackSender(RenoSender):
             if not self._retransmit_next_hole():
                 self._transmit(self.snd_una, retransmit=True)
                 self._rtx_done.add(self.snd_una)
-            self._arm_rto(restart=True)
+            self._arm_rto()
 
     def _new_ack_in_recovery(self, ack: int, acked: int) -> None:
         if ack > self.recover:
@@ -93,7 +93,7 @@ class SackSender(RenoSender):
             if self._buffer:
                 self._transmit(self.snd_una, retransmit=True)
                 self._rtx_done.add(self.snd_una)
-        self._arm_rto(restart=True)
+        self._arm_rto()
 
     def _handle_new_ack(self, ack: int) -> None:
         # Drop scoreboard state below the new cumulative ACK.

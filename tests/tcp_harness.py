@@ -54,7 +54,10 @@ class TcpPair:
                  drop_nth: Optional[Iterable[int]] = None,
                  send_buffer_pkts: int = 1000,
                  delack_interval: float = 0.1,
-                 min_rto: float = 0.2):
+                 min_rto: float = 0.2,
+                 sender_cls: type = RenoSender,
+                 receiver_cls: type = TcpReceiver,
+                 sack_enabled: bool = False):
         self.sim = Simulator(seed=seed)
         self.a = Node(self.sim, "a")
         self.b = Node(self.sim, "b")
@@ -65,12 +68,13 @@ class TcpPair:
         self.b.add_route("a", self.backward)
 
         self.delivered = []
-        self.receiver = TcpReceiver(
+        self.receiver = receiver_cls(
             self.sim, self.b, delack_interval=delack_interval,
+            sack_enabled=sack_enabled,
             on_deliver=lambda payload, seq, t:
                 self.delivered.append((seq, payload, t)))
         self.space_events = []
-        self.sender = RenoSender(
+        self.sender = sender_cls(
             self.sim, self.a, dst_name="b",
             dst_port=self.receiver.port,
             send_buffer_pkts=send_buffer_pkts, min_rto=min_rto,

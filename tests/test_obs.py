@@ -249,9 +249,9 @@ def test_correlated_paths_run_bit_identical_to_pinned_digest():
 # sha256 of everything JsonlSink writes for every topic.  Packet uids
 # come from a process-global counter, so the test restarts it.
 JSONL_SEED = 17
-JSONL_N_LINES = 65311
+JSONL_N_LINES = 66141
 JSONL_DIGEST = \
-    "240116910fa638279b6814f9efd0d21827405141c3943282e0e2e70c87d705b1"
+    "4380bf47bd2946654ffd12352846f7a1d4763cc3bc9bd450a0dcd436c7dcba27"
 
 
 def test_jsonl_stream_bit_identical_to_pinned_digest(monkeypatch):
@@ -304,6 +304,52 @@ def test_jsonl_stream_without_engine_lines_pinned(monkeypatch):
     text = "".join(line + "\n" for line in kept)
     assert hashlib.sha256(text.encode()).hexdigest() \
         == JSONL_NON_ENGINE_DIGEST
+
+
+def test_timer_and_calendar_entries_nearly_all_fire(monkeypatch):
+    """On a JSONL_SEED 2-2 run, at most 5% of the TCP timer entries
+    and of all calendar entries are scheduled and never popped (about
+    3% and 0.5%; cancelling and rescheduling on every ACK left 93% and
+    16%).  Each RTO and delayed-ACK timer keeps one entry that
+    re-enters the calendar.  The run keeps the default 20 s warm-up:
+    an entry is still cancelled when a connection's first ACK pulls
+    its 3 s initial RTO earlier, and with every flow starting in the
+    first half-second those cancellations would dominate."""
+    from collections import Counter
+
+    from repro.experiments.configs import ALL_SETTINGS
+
+    scheduled, fired = Counter(), Counter()
+    original_at = Simulator.at
+
+    def counting_at(sim, when, callback, *args):
+        label = (getattr(callback, "__module__", None)
+                 or type(callback).__module__,
+                 getattr(callback, "__qualname__", None)
+                 or type(callback).__qualname__)
+        scheduled[label] += 1
+
+        def fire(*fire_args):
+            fired[label] += 1
+            callback(*fire_args)
+        return original_at(sim, when, fire, *args)
+
+    monkeypatch.setattr(Simulator, "at", counting_at)
+    setting = ALL_SETTINGS[GOLDEN_SETTING]
+    MultiSessionCampaign(
+        mu=setting.mu, duration_s=2.0, paths=setting.path_configs(),
+        shared_bottleneck=setting.shared_bottleneck,
+        seed=JSONL_SEED).run(drain_s=1.0)
+
+    timers = [label for label in scheduled
+              if label[0].startswith("repro.tcp.")]
+    assert {qualname for _, qualname in timers} == \
+        {"RenoSender._on_timeout", "TcpReceiver._on_delack_timer"}
+    for labels in (timers, list(scheduled)):
+        total = sum(scheduled[label] for label in labels)
+        popped = sum(fired[label] for label in labels)
+        assert popped <= total
+        assert total - popped <= 0.05 * total
 
 
 def test_trace_sink_link_filter():

@@ -44,7 +44,9 @@ STRICT_PATHS = ["src/repro/sim", "src/repro/obs",
                 "src/repro/core/metrics.py",
                 "src/repro/core/client.py",
                 "src/repro/core/assembly.py",
-                "src/repro/core/campaign.py"]
+                "src/repro/core/campaign.py",
+                "src/repro/tcp/reno.py",
+                "src/repro/tcp/receiver.py"]
 
 
 # ---------------------------------------------------------------------

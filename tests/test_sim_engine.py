@@ -120,3 +120,187 @@ def test_zero_delay_event_fires_at_current_time():
     marker = []
     sim.run()
     assert marker == [1.0]
+
+
+# ---------------------------------------------------------------------
+# Cancelling an event that has already fired
+# ---------------------------------------------------------------------
+def test_cancelling_a_fired_event_leaves_counts_alone():
+    sim = Simulator()
+    event = sim.at(1.0, lambda: None)
+    sim.at(2.0, lambda: None)
+    sim.run(until=1.5)
+    event.cancel()
+    assert sim.pending_events == 1
+    sim.run()
+    assert sim.pending_events == 0
+    assert sim._cancelled == 0
+
+
+def test_cancel_at_the_current_instant_counts_only_pending_events():
+    sim = Simulator()
+    fired = []
+
+    def cancel_both():
+        first.cancel()  # the event running now: already fired
+        second.cancel()  # due now, still in the calendar
+
+    first = sim.at(1.0, cancel_both)
+    second = sim.at(1.0, fired.append, "second")
+    sim.at(1.0, fired.append, "third")
+    sim.run(max_events=1)
+    assert sim.pending_events == 1
+    sim.run()
+    assert fired == ["third"]
+    assert sim.pending_events == 0
+    assert sim._cancelled == 0
+
+
+# ---------------------------------------------------------------------
+# Timer: one calendar entry, fired in the eager (time, seq) order
+# ---------------------------------------------------------------------
+def make_timer(sim, order, tag="timer"):
+    return sim.timer(lambda: order.append((tag, sim.now)))
+
+
+def test_timer_fires_once_at_its_deadline():
+    sim = Simulator()
+    order = []
+    timer = make_timer(sim, order)
+    assert timer.deadline is None
+    timer.set(1.0)
+    assert timer.deadline == 1.0
+    sim.run()
+    assert order == [("timer", 1.0)]
+    assert timer.deadline is None
+    assert sim.events_processed == 1
+
+
+def test_timer_later_set_keeps_the_pending_entry():
+    sim = Simulator()
+    order = []
+    timer = make_timer(sim, order)
+    timer.set(1.0)
+    heap_sizes = []
+
+    def push_back():
+        timer.set(2.0)
+        heap_sizes.append(len(sim._heap))
+
+    sim.at(0.5, push_back)
+    sim.run()
+    assert heap_sizes == [1]  # still the entry at 1.0, not a second
+    assert order == [("timer", 2.0)]
+    # push_back, the early pop at 1.0 (re-entered), the expiry
+    assert sim.events_processed == 3
+    assert sim._cancelled == 0
+
+
+def test_timer_earlier_set_reschedules():
+    sim = Simulator()
+    order = []
+    timer = make_timer(sim, order)
+    timer.set(2.0)
+    sim.at(0.5, timer.set, 1.0)
+    sim.run()
+    assert order == [("timer", 1.0)]
+    assert sim.events_processed == 2  # the entry at 2.0 never pops
+    assert sim.pending_events == 0
+
+
+def test_timer_clear_drops_the_entry_and_set_rearms():
+    sim = Simulator()
+    order = []
+    timer = make_timer(sim, order)
+    timer.set(1.0)
+    sim.at(0.5, timer.clear)
+    sim.run()
+    assert order == []
+    assert timer.deadline is None
+
+    timer.set(3.0)
+    sim.at(2.5, timer.clear)
+    sim.at(2.5, timer.set, 4.0)
+    sim.run()
+    assert order == [("timer", 4.0)]
+
+
+def test_timer_draws_one_key_per_set():
+    """Each set takes the key an eager reschedule would take, so the
+    events scheduled after it get the same keys either way."""
+    sim = Simulator()
+    timer = sim.timer(lambda: None)
+    timer.set(1.0)
+    timer.set(2.0)
+    timer.clear()
+    timer.set(3.0)
+    assert sim.at(5.0, lambda: None).seq == 3
+
+
+def test_timer_tie_with_a_same_time_event_keeps_the_set_order():
+    sim = Simulator()
+    order = []
+    timer = make_timer(sim, order)
+    timer.set(0.5)
+    sim.at(1.0, order.append, ("a", 1.0))
+    timer.set(1.0)  # lazily: the entry at 0.5 stays
+    sim.at(1.0, order.append, ("c", 1.0))
+    sim.run()
+    # The entry pops at 0.5 and re-enters at 1.0 under the key of the
+    # second set: between "a" and "c", as a rescheduled event would be.
+    assert order == [("a", 1.0), ("timer", 1.0), ("c", 1.0)]
+
+
+def test_timer_reset_at_the_same_instant_moves_behind_later_events():
+    for clear_first in (False, True):
+        sim = Simulator()
+        order = []
+        timer = make_timer(sim, order)
+        timer.set(1.0)
+        sim.at(1.0, order.append, ("b", 1.0))
+        if clear_first:
+            timer.clear()
+        timer.set(1.0)  # same deadline, new key
+        sim.run()
+        assert order == [("b", 1.0), ("timer", 1.0)]
+
+
+def test_timer_reset_during_its_own_instant():
+    """Re-arming for the current instant from an event at that instant
+    fires the timer after the events already due then."""
+    sim = Simulator()
+    order = []
+    timer = make_timer(sim, order)
+    timer.set(2.0)
+    sim.at(1.0, timer.set, 1.0)
+    sim.at(1.0, order.append, ("b", 1.0))
+    sim.run()
+    assert order == [("b", 1.0), ("timer", 1.0)]
+
+
+def test_timer_callback_can_rearm():
+    sim = Simulator()
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+        if len(fired) < 3:
+            timer.set(sim.now + 1.0)
+
+    timer = sim.timer(tick)
+    timer.set(1.0)
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0]
+
+
+def test_timer_in_the_past_rejected_and_left_armed():
+    sim = Simulator()
+    order = []
+    timer = make_timer(sim, order)
+    timer.set(2.0)
+    sim.run(until=1.0)
+    with pytest.raises(ValueError):
+        timer.set(0.5)
+    assert timer.deadline == 2.0
+    sim.run()
+    assert order == [("timer", 2.0)]
