@@ -8,8 +8,8 @@ Layers
   workloads (the ns-2 substitute).
 * :mod:`repro.core` — DMP-streaming, the static baseline, single-path
   streaming, the client and the playback metrics.
-* :mod:`repro.model` — the analytical CTMC model and its solvers, the
-  PFTK throughput formula and the Section-7.3 fluid model.
+* :mod:`repro.model` — the analytical CTMC model and its solvers and
+  the Section-7.3 fluid model.
 * :mod:`repro.experiments` — the paper's experiment matrix: Table-1
   configurations, replicated runners, trace-based parameter estimation,
   emulated Internet experiments and the Section-7 parameter sweeps.

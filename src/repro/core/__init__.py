@@ -25,7 +25,7 @@ from repro.core.metrics import (
 )
 from repro.core.packets import VideoPacket
 from repro.core.server_queue import ServerQueue
-from repro.core.source import StoredVideoSource, VideoSource
+from repro.core.source import VideoSource
 from repro.core.streamers import (
     DmpStreamer,
     SinglePathStreamer,
@@ -40,7 +40,6 @@ __all__ = [
     "VideoPacket",
     "ServerQueue",
     "VideoSource",
-    "StoredVideoSource",
     "StreamClient",
     "DmpStreamer",
     "StaticStreamer",

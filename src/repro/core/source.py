@@ -24,13 +24,15 @@ class VideoSource:
                  = None):
         if mu <= 0:
             raise ValueError("playback rate mu must be positive")
-        if duration_s <= 0:
-            raise ValueError("video duration must be positive")
+        self.total_packets = int(round(duration_s * mu))
+        if self.total_packets < 1:
+            raise ValueError(
+                f"video of {duration_s} s at {mu} pkts/s is shorter "
+                "than one packet")
         self.sim = sim
         self.queue = queue
         self.mu = mu
         self.start_at = start_at
-        self.total_packets = int(round(duration_s * mu))
         self._listeners: List[Callable[[VideoPacket], None]] = []
         if on_generate is not None:
             self._listeners.append(on_generate)
@@ -61,30 +63,3 @@ class VideoSource:
             listener(packet)
         if not self.finished:
             self.sim.schedule(1.0 / self.mu, self._generate_next)
-
-
-class StoredVideoSource(VideoSource):
-    """A pre-recorded video: every packet is available up front.
-
-    The paper notes DMP-streaming "is also applicable to stored-video
-    streaming" and leaves its study as future work; this source enables
-    that extension.  All packets exist at ``start_at`` so the senders
-    are never generation-limited — the early-packet bound ``mu * tau``
-    of live streaming (Section 2.1) no longer applies and the client
-    can buffer arbitrarily far ahead.
-
-    ``mu`` still defines the playback rate (and thus deadlines); the
-    listeners fire once per packet, in order, at the start instant.
-    """
-
-    def _generate_next(self) -> None:
-        while not self.finished:
-            packet = VideoPacket(number=self.generated,
-                                 generated_at=self.sim.now)
-            if self._p_generate.active:
-                self._p_generate.emit(self.sim.now, packet.number)
-            if self.queue is not None:
-                self.queue.push(packet)
-            self.generated += 1
-            for listener in self._listeners:
-                listener(packet)

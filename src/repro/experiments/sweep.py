@@ -6,11 +6,11 @@ These helpers reproduce the knobs of the paper's exploration:
   and T_O) and varying the RTT, or by fixing the flow parameters and
   varying the playback rate — exactly the two manners of Section 7.1.
 * The achievable throughput ``sigma`` is the model chain's own
-  stationary throughput, keeping the exploration self-consistent (the
-  PFTK formula is available separately in :mod:`repro.model.pftk`).
-* Heterogeneity (Section 7.2) follows the paper's two cases, with the
-  second path's loss rate chosen by inverting the throughput so the
-  aggregate matches the homogeneous scenario.
+  stationary throughput, keeping the exploration self-consistent.
+* Heterogeneity (Section 7.2) follows the paper's two cases.  Case 2
+  chooses the second path's loss rate by inverting the chain's
+  throughput (:func:`invert_chain_loss`) so the aggregate matches the
+  homogeneous scenario; the paper inverts the PFTK formula instead.
 """
 
 from __future__ import annotations

@@ -11,8 +11,6 @@ Components
   is the early-packet count, frozen at ``Nmax = mu * tau``; provides an
   exact sparse stationary solver (small chains) and a fast
   Rao-Blackwellised Monte-Carlo solver (production scale).
-* :mod:`repro.model.pftk` — the PFTK achievable-throughput formula [24]
-  and its inversion (used for Case-2 heterogeneity in Section 7.2).
 * :mod:`repro.model.singlepath` — the single-path model of [31] (K = 1)
   and the static-streaming evaluation of Section 7.4.
 * :mod:`repro.model.fluid` — the Section 7.3 alternating on/off fluid
@@ -20,13 +18,8 @@ Components
 """
 
 from repro.model.dmp_model import DmpModel, LateFractionEstimate
-from repro.model.pftk import pftk_throughput, invert_loss_for_throughput
 from repro.model.singlepath import SinglePathModel, static_late_fraction
 from repro.model.tcp_chain import FlowParams, TcpFlowChain
-from repro.model.uniformization import (
-    transient_distribution,
-    transient_expectation,
-)
 
 __all__ = [
     "FlowParams",
@@ -35,8 +28,4 @@ __all__ = [
     "LateFractionEstimate",
     "SinglePathModel",
     "static_late_fraction",
-    "pftk_throughput",
-    "invert_loss_for_throughput",
-    "transient_distribution",
-    "transient_expectation",
 ]

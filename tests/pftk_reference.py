@@ -1,9 +1,11 @@
 """The PFTK steady-state TCP throughput formula (Padhye et al. [24]).
 
-Used exactly where the paper uses it: Section 7.2, Case 2, sets the
-second heterogeneous path's loss rate so the aggregate achievable
-throughput matches the homogeneous scenario — that requires inverting
-the throughput formula in ``p``.
+A test reference, not part of the model: the paper's Section 7.2
+Case 2 sets the second heterogeneous path's loss rate by inverting
+this formula in ``p`` (it reports ``p2 = 0.012``).  The reproduction
+inverts the per-flow chain instead (``repro.experiments.sweep.
+invert_chain_loss``); the tests check the paper's value with this
+formula and hold the chain's throughput to its ballpark.
 """
 
 from __future__ import annotations

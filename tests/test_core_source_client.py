@@ -69,6 +69,8 @@ def test_source_invalid_parameters():
         VideoSource(sim, None, mu=0, duration_s=1.0)
     with pytest.raises(ValueError):
         VideoSource(sim, None, mu=10, duration_s=0)
+    with pytest.raises(ValueError):
+        VideoSource(sim, None, mu=10, duration_s=0.01)
 
 
 def test_video_packet_deadline():

