@@ -120,9 +120,8 @@ class CampaignResult:
         Below :data:`HISTOGRAM_THRESHOLD` sessions the percentiles
         come from the exact list-based :func:`~repro.core.metrics.
         quantile`; from there up they come from a
-        :class:`~repro.obs.health.LogHistogram`, the one
-        :func:`repro.experiments.campaign.run_campaign` merges across
-        replications (so one big run and a merged one agree exactly).
+        :class:`~repro.obs.health.LogHistogram`, whose quantiles
+        underestimate the order statistic by at most one log bucket.
         """
         fractions = self.late_fractions(tau)
         summary = {

@@ -16,15 +16,13 @@ the ``REPRO_CACHE_DIR`` environment variable or an explicit
 Records store what a run measured, never a number derived at one
 startup delay: packet ``i`` is late when it arrives after
 ``tau + i/mu`` (Section 2), so one run's arrivals answer every tau.
-A packet-run record holds ``flow_stats`` plus, per session (one for a
-single-session run), ``{"total_packets": n, "arrivals": [[number, t],
-...]}`` with ``t`` on the session's video clock; campaign records add
-``health.rollup`` and instrumented runs ``counters``.  A mean-field
-record holds the per-session ``goodput_pps`` trace plus two scalars.
-:func:`run_late_fractions` and :func:`meanfield_late_fraction` answer
-any tau on read, bit-identical to the live result (JSON floats
-round-trip exactly).  Model records keep tau in their key:
-``Nmax = mu*tau`` is a model parameter.
+A packet-run record holds ``flow_stats`` plus its one session's
+``{"total_packets": n, "arrivals": [[number, t], ...]}`` under
+``sessions``, with ``t`` on the session's video clock; instrumented
+runs add ``counters``.  :func:`run_late_fractions` answers any tau on
+read, bit-identical to the live result (JSON floats round-trip
+exactly).  Model records keep tau in their key: ``Nmax = mu*tau`` is a
+model parameter.
 
 Invalidation: every key embeds :data:`CODE_VERSION`.  Bump it whenever
 a change alters simulation or model output for the same inputs
@@ -53,8 +51,6 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
 from repro import telemetry
 from repro.core.metrics import arrival_order_late_fraction, late_fraction
 from repro.model.dmp_model import LateFractionEstimate
-from repro.model.fluid import late_fraction_from_trace
-from repro.model.meanfield import MeanFieldSpec
 from repro.verify.spec import VerifySpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,7 +89,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: v11: tau is a query — run records store per-session arrivals and
 #: mean-field records the goodput trace instead of per-tau values, and
 #: nothing merges; the health rollup's late test became the metrics one.
-CODE_VERSION = 11
+#: v12: the replicated campaign driver is gone — ``Setting`` lost its
+#: ``n_sessions``/``churn_rate``/``backend`` axes (run keys drop them,
+#: every run record holds exactly one session) and mean-field records
+#: are no longer a record kind.
+CODE_VERSION = 12
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE = "REPRO_CACHE"
@@ -132,21 +132,11 @@ def run_late_fractions(record: Mapping[str, Any], mu: float,
             for session in record["sessions"]]
 
 
-def meanfield_late_fraction(record: Mapping[str, Any],
-                            spec: MeanFieldSpec, tau: float) -> float:
-    """Late fraction at ``tau`` of a mean-field record, exactly as
-    :meth:`repro.model.meanfield.MeanFieldSolution.late_fraction`
-    computes it from the live solution."""
-    return late_fraction_from_trace(
-        record["goodput_pps"], spec.mu, tau, spec.dt,
-        video_duration_s=spec.duration_s)
-
-
-def _valid_sessions(sessions: Any, expected: int) -> bool:
-    """Whether ``sessions`` holds ``expected`` well-formed per-session
-    arrival records: distinct packet numbers in ``[0, total)`` (hence
-    never more arrivals than packets) with finite times."""
-    if not isinstance(sessions, list) or len(sessions) != expected:
+def _valid_sessions(sessions: Any) -> bool:
+    """Whether ``sessions`` holds exactly one well-formed arrival
+    record: distinct packet numbers in ``[0, total)`` (hence never
+    more arrivals than packets) with finite times."""
+    if not isinstance(sessions, list) or len(sessions) != 1:
         return False
     for session in sessions:
         if not isinstance(session, dict):
@@ -216,9 +206,6 @@ class ResultCache:
                 "mu": setting.mu,
                 "shared_bottleneck": setting.shared_bottleneck,
                 "queue_discipline": setting.queue_discipline,
-                "n_sessions": setting.n_sessions,
-                "churn_rate": setting.churn_rate,
-                "backend": setting.backend,
             },
             "duration_s": spec.duration_s,
             "scheme": spec.scheme,
@@ -243,39 +230,6 @@ class ResultCache:
 
     def model_key(self, task: "ModelTask") -> str:
         return _digest(self.model_key_payload(task))
-
-    @staticmethod
-    def meanfield_key_payload(spec: MeanFieldSpec) -> Dict[str, Any]:
-        """The full identity of one mean-field solve.
-
-        Every ``MeanFieldSpec`` field shapes the solution, so every
-        field is key material; the record is additionally tagged
-        ``backend: meanfield`` so it can never collide with packet-sim
-        run records even under a digest prefix match.
-        """
-        return {
-            "kind": "meanfield",
-            "version": CODE_VERSION,
-            "backend": "meanfield",
-            "n_sessions": spec.n_sessions,
-            "mu": spec.mu,
-            "bandwidth_pps": spec.bandwidth_pps,
-            "buffer_pkts": spec.buffer_pkts,
-            "queue_discipline": spec.queue_discipline,
-            "paths_per_session": spec.paths_per_session,
-            "n_background": spec.n_background,
-            "base_rtt_s": spec.base_rtt_s,
-            "duration_s": spec.duration_s,
-            "warmup_s": spec.warmup_s,
-            "drain_s": spec.drain_s,
-            "wmax": spec.wmax,
-            "to_ratio": spec.to_ratio,
-            "min_rto_s": spec.min_rto_s,
-            "dt": spec.dt,
-        }
-
-    def meanfield_key(self, spec: MeanFieldSpec) -> str:
-        return _digest(self.meanfield_key_payload(spec))
 
     @staticmethod
     def verify_key_payload(spec: VerifySpec, scheme: str = "dmp",
@@ -315,23 +269,17 @@ class ResultCache:
     def get_run(self, spec: "RunSpec") -> Optional[Dict[str, Any]]:
         """Cached record for one replication, or None.
 
-        A record is a hit only when its arrivals are well formed for
-        every session of the setting, a campaign record carries its
-        health rollup, and — when the spec requests probe counters —
-        the counters are present: counter-less records written by
-        plain runs stay usable for plain requests but force a re-run
-        for instrumented ones.
+        A record is a hit only when its one session's arrivals are well
+        formed and — when the spec requests probe counters — the
+        counters are present: counter-less records written by plain
+        runs stay usable for plain requests but force a re-run for
+        instrumented ones.
         """
         record = self._read(self.run_key(spec), "run") or {}
-        health = record.get("health")
         if not isinstance(record.get("flow_stats"), list) \
-                or not _valid_sessions(record.get("sessions"),
-                                       spec.setting.n_sessions) \
+                or not _valid_sessions(record.get("sessions")) \
                 or (spec.counters
-                    and not isinstance(record.get("counters"), dict)) \
-                or (spec.setting.n_sessions > 1 and not (
-                    isinstance(health, dict)
-                    and isinstance(health.get("rollup"), dict))):
+                    and not isinstance(record.get("counters"), dict)):
             self._miss("run")
             return None
         self._hit("run")
@@ -371,28 +319,6 @@ class ResultCache:
             "method": estimate.method,
             "path_shares": list(estimate.path_shares),
         }, "model")
-
-    # -- mean-field records --------------------------------------------
-    def get_meanfield(self, spec: MeanFieldSpec) \
-            -> Optional[Dict[str, Any]]:
-        """Cached mean-field record, or None when absent or malformed."""
-        record = self._read(self.meanfield_key(spec), "meanfield") or {}
-        trace = record.get("goodput_pps")
-        if not isinstance(trace, list) or not trace \
-                or not all(isinstance(v, float) and 0.0 <= v < math.inf
-                           for v in trace) \
-                or not all(isinstance(record.get(name), float)
-                           for name in ("mean_drop_prob",
-                                        "mean_queue_pkts")):
-            self._miss("meanfield")
-            return None
-        self._hit("meanfield")
-        return record
-
-    def put_meanfield(self, spec: MeanFieldSpec,
-                      record: Dict[str, Any]) -> None:
-        """Store a mean-field record (a plain write)."""
-        self._write(self.meanfield_key(spec), record, "meanfield")
 
     # -- verification records ------------------------------------------
     def get_verify(self, spec: VerifySpec, scheme: str = "dmp",

@@ -104,22 +104,25 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _run_meanfield(args) -> int:
+def _run_meanfield(args, parser) -> int:
     """Solve one mean-field campaign and report population metrics."""
-    from repro.experiments.campaign import meanfield_spec_for_setting
+    from repro.experiments.scenarios import meanfield_spec
 
-    setting = dataclasses.replace(
-        ALL_SETTINGS[args.setting],
-        queue_discipline=args.queue_discipline,
-        n_sessions=args.sessions, backend="meanfield")
-    spec = meanfield_spec_for_setting(setting, args.duration)
+    setting = ALL_SETTINGS[args.setting]
+    try:
+        spec = meanfield_spec(
+            setting.mu, args.duration, setting.path_configs(),
+            args.sessions, queue_discipline=args.queue_discipline,
+            scheme=args.scheme, churn_rate=args.churn)
+    except ValueError as exc:
+        parser.error(f"--backend meanfield: {exc}")
 
     started = time.time()  # repro-lint: disable=RL001 -- progress timer
     solution = meanfield.solve_meanfield(spec)
     elapsed = time.time() - started  # repro-lint: disable=RL001 -- progress timer
 
     print(f"mean-field campaign setting {setting.name} scheme=dmp "
-          f"queue={setting.queue_discipline} "
+          f"queue={spec.queue_discipline} "
           f"sessions={args.sessions} duration={args.duration:g}s")
     print(f"solved in {elapsed:.2f}s wall (cost independent of N); "
           f"mean drop prob {solution.mean_drop_prob:.4f}, "
@@ -131,7 +134,7 @@ def _run_meanfield(args) -> int:
     return 0
 
 
-def _run_campaign(args) -> int:
+def _run_packet_campaign(args) -> int:
     """Run one multi-session campaign and report population metrics."""
     import json as json_module
 
@@ -495,26 +498,14 @@ def _dispatch(parser, args) -> int:
             except ValueError as exc:
                 parser.error(f"--record-trigger: {exc}")
         if args.backend == "meanfield":
-            if args.sessions < 2:
-                parser.error("--backend meanfield needs --sessions "
-                             ">= 2 (it is a population model)")
-            if args.queue_discipline not in \
-                    meanfield.MEANFIELD_DISCIPLINES:
-                parser.error(
-                    "--backend meanfield supports "
-                    f"{list(meanfield.MEANFIELD_DISCIPLINES)}; got "
-                    f"{args.queue_discipline!r}")
-            if args.churn > 0:
-                parser.error("--backend meanfield assumes "
-                             "synchronized starts; --churn must be 0")
             if args.health_out or args.prometheus_out \
                     or args.dashboard_out or args.record_trigger:
                 parser.error(
                     "--backend meanfield has no per-session probe "
                     "stream; health/recorder flags need the packet "
                     "backend")
-            return _run_meanfield(args)
-        return _run_campaign(args)
+            return _run_meanfield(args, parser)
+        return _run_packet_campaign(args)
 
     if args.workers is not None and args.workers < 1:
         parser.error("--workers must be >= 1")

@@ -77,18 +77,6 @@ class Setting:
     independent paths; "2" is the correlated-paths Setting 2).
     ``queue_discipline`` selects the bottleneck AQM (the paper's
     drop-tail by default; see ``repro.sim.queueing.QUEUE_DISCIPLINES``).
-
-    ``n_sessions > 1`` turns the setting into a multi-session campaign
-    axis: that many concurrent sessions share one fan-in bottleneck
-    (the first config of ``configs`` supplies its spec and background
-    load) and ``churn_rate`` picks the arrival process — 0 staggers
-    session starts deterministically, > 0 draws exponential
-    inter-arrivals at that rate per second from the run's seed.
-
-    ``backend`` selects the solver: ``"packet"`` (the event-driven
-    simulator) or ``"meanfield"`` (the deterministic population ODE of
-    :mod:`repro.model.meanfield`, campaigns only; cost independent of
-    ``n_sessions``).  See ``repro.model.meanfield.BACKENDS``.
     """
 
     name: str
@@ -96,9 +84,6 @@ class Setting:
     mu: float
     shared_bottleneck: bool = False
     queue_discipline: str = "droptail"
-    n_sessions: int = 1
-    churn_rate: float = 0.0
-    backend: str = "packet"
 
     def path_configs(self,
                      table: Optional[Dict[int, LinkConfig]] = None) \

@@ -53,12 +53,6 @@ from repro.model.tcp_chain import FlowParams
 
 ENV_WORKERS = "REPRO_WORKERS"
 
-#: Reference startup delay of the health rollup stored in campaign
-#: records: its stall clock needs a playout start.  Fixed, so the
-#: rollup stays a pure function of the cache key; late fractions at
-#: any other tau come from the stored arrivals.
-HEALTH_REFERENCE_TAU = 6.0
-
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -93,40 +87,21 @@ def simulate_run(spec: RunSpec) -> Dict[str, Any]:
     """Run one replication; returns a JSON-able record.
 
     The record is exactly what the cache stores (see
-    :mod:`repro.experiments.cache`): every session's per-flow stats
-    and arrivals, which answer every startup delay.  A multi-session
-    setting (``n_sessions > 1``) runs one whole campaign per
-    replication.
-
-    Campaign replications additionally run with the streaming
-    :class:`~repro.obs.health.HealthAggregator` attached and store its
-    ``health`` rollup — per-session QoE rows plus mergeable log
-    histograms at :data:`HEALTH_REFERENCE_TAU` — so
-    :func:`repro.experiments.campaign.run_campaign` can merge
-    worker-local rollups in submit order into a population view that
-    is bit-identical between serial and ``--workers N`` runs.
+    :mod:`repro.experiments.cache`): the session's per-flow stats and
+    arrivals, which answer every startup delay.
     """
     setting = spec.setting
-    if setting.backend != "packet":
-        raise ValueError(
-            f"simulate_run got backend={setting.backend!r}; "
-            "mean-field settings are solved deterministically by "
-            "repro.experiments.campaign.run_campaign, never fanned "
-            "out as replications")
     tel = telemetry.current()
     with tel.span("replication", label=setting.name,
                   scheme=spec.scheme, seed=spec.seed,
                   duration_s=spec.duration_s):
         run = build_run(
             setting.mu, spec.duration_s, setting.path_configs(),
-            n_sessions=setting.n_sessions, scheme=spec.scheme,
+            scheme=spec.scheme,
             shared_bottleneck=setting.shared_bottleneck,
             queue_discipline=setting.queue_discipline, seed=spec.seed,
-            churn_rate=setting.churn_rate,
             send_buffer_pkts=spec.send_buffer_pkts)
         counters = run.attach_counters() if spec.counters else None
-        aggregator = run.attach_health(tau=HEALTH_REFERENCE_TAU) \
-            if setting.n_sessions > 1 else None
         result = run.run()
         record: Dict[str, Any] = {
             "flow_stats": [stats for s in result.sessions
@@ -134,8 +109,6 @@ def simulate_run(spec: RunSpec) -> Dict[str, Any]:
             "sessions": [session_record(s.total_packets, s.arrivals)
                          for s in result.sessions],
         }
-        if aggregator is not None:
-            record["health"] = {"rollup": aggregator.rollup()}
         if counters is not None:
             record["counters"] = counters.as_dict()
         return record

@@ -234,19 +234,6 @@ def run_setting(setting: Setting,
     by default, ``False`` = bypass): already-simulated (setting, seed)
     records are reused instead of re-simulated, at any taus.
     """
-    if setting.n_sessions > 1:
-        raise ValueError(
-            f"setting {setting.name!r} has n_sessions="
-            f"{setting.n_sessions}; use "
-            "repro.experiments.campaign.run_campaign for "
-            "multi-session settings (the per-path model validation "
-            "below has no population analogue)")
-    if setting.backend != "packet":
-        raise ValueError(
-            f"setting {setting.name!r} selects backend="
-            f"{setting.backend!r}; run_setting is packet-sim only — "
-            "the mean-field backend is a population model, use "
-            "repro.experiments.campaign.run_campaign")
     float_taus = check_taus(taus)
     if profile is None:
         profile = scale_profile()

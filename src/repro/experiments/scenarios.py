@@ -29,15 +29,11 @@ Example scenario::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, NoReturn, Sequence
 
+from repro.core.assembly import VIDEO_SEGMENT_BYTES
 from repro.core.campaign import MultiSessionCampaign
-from repro.model.meanfield import (
-    BACKENDS,
-    MEANFIELD_DISCIPLINES,
-    MeanFieldSpec,
-    solve_meanfield,
-)
+from repro.model.meanfield import BACKENDS, MeanFieldSpec, solve_meanfield
 from repro.sim.queueing import QUEUE_DISCIPLINES
 from repro.sim.topology import ACCESS_DELAY_S, BottleneckSpec, PathConfig
 
@@ -62,7 +58,7 @@ class ScenarioError(ValueError):
     """A scenario dict failed validation."""
 
 
-def _fail(message: str) -> None:
+def _fail(message: str) -> NoReturn:
     raise ScenarioError(message)
 
 
@@ -134,17 +130,17 @@ def validate_scenario(scenario: Dict[str, Any]) -> None:
         _fail(f"unknown backend: {backend!r} "
               f"(choose from {list(BACKENDS)})")
     if backend == "meanfield":
-        if n_sessions < 2:
-            _fail("backend 'meanfield' is a population model; "
-                  "it needs n_sessions > 1")
-        if discipline not in MEANFIELD_DISCIPLINES:
-            _fail(f"backend 'meanfield' supports disciplines "
-                  f"{list(MEANFIELD_DISCIPLINES)}, not {discipline!r}")
-        if float(scenario.get("churn_rate", 0.0)) > 0:
-            _fail("backend 'meanfield' assumes synchronized starts; "
-                  "churn_rate must be 0")
-        if scenario.get("scheme", "dmp") != "dmp":
-            _fail("backend 'meanfield' models the DMP scheme only")
+        if "segment_bytes" in scenario:
+            # The ODE counts packets of VIDEO_SEGMENT_BYTES; another
+            # segment size would change the packet backend's capacity
+            # but silently not this one's.
+            _fail("backend 'meanfield' models "
+                  f"{VIDEO_SEGMENT_BYTES}-byte segments only; "
+                  "drop segment_bytes")
+        try:
+            _scenario_meanfield_spec(scenario)
+        except ValueError as exc:
+            _fail(str(exc))
 
 
 def build_run(mu: float, duration_s: float, paths: Sequence[PathConfig],
@@ -170,6 +166,65 @@ def build_run(mu: float, duration_s: float, paths: Sequence[PathConfig],
         n_ftp=first.n_ftp, n_http=first.n_http, **options)
 
 
+def meanfield_spec(mu: float, duration_s: float,
+                   paths: Sequence[PathConfig], n_sessions: int,
+                   queue_discipline: str = "droptail",
+                   scheme: str = "dmp", churn_rate: float = 0.0,
+                   warmup_s: float = 20.0) -> MeanFieldSpec:
+    """The one mean-field counterpart of :func:`build_run`'s fan-in.
+
+    The mapping is the fan-in one: the first path supplies the shared
+    bottleneck and its FTP load, and ``len(paths)`` is the per-session
+    path count.  Bandwidth converts to packets/s at the video segment
+    size and the base RTT adds the two fan-in access hops
+    (:data:`repro.sim.topology.ACCESS_DELAY_S`) in each direction.
+    HTTP background (short transfers with think time) has no
+    mean-field analogue and is dropped (see the
+    :mod:`repro.model.meanfield` approximation notes).
+
+    Raises :class:`ValueError` for what the ODE does not model: fewer
+    than two sessions, a scheme other than DMP, or churn; the
+    discipline check is :class:`MeanFieldSpec`'s.
+    """
+    if n_sessions < 2:
+        raise ValueError(
+            "the mean-field backend is a population model; it needs "
+            f"at least 2 sessions, got {n_sessions}")
+    if scheme != "dmp":
+        raise ValueError("the mean-field backend models the DMP "
+                         f"scheme only, not {scheme!r}")
+    if churn_rate > 0:
+        raise ValueError("the mean-field backend assumes synchronized "
+                         f"starts; churn rate {churn_rate:g} must be 0")
+    first = paths[0]
+    return MeanFieldSpec(
+        n_sessions=n_sessions,
+        mu=mu,
+        bandwidth_pps=first.bottleneck.bandwidth_bps
+        / (8.0 * VIDEO_SEGMENT_BYTES),
+        buffer_pkts=float(first.bottleneck.buffer_pkts),
+        queue_discipline=queue_discipline,
+        paths_per_session=len(paths),
+        n_background=first.n_ftp,
+        base_rtt_s=2.0 * (2.0 * ACCESS_DELAY_S
+                          + first.bottleneck.delay_s),
+        duration_s=duration_s,
+        warmup_s=warmup_s)
+
+
+def _scenario_meanfield_spec(scenario: Dict[str, Any]) -> MeanFieldSpec:
+    """:func:`meanfield_spec` of a scenario whose paths are valid."""
+    return meanfield_spec(
+        float(scenario["mu"]), float(scenario["duration_s"]),
+        [parse_path(spec, i) for i, spec in enumerate(scenario["paths"])],
+        int(scenario.get("n_sessions", 1)),
+        queue_discipline=str(
+            scenario.get("queue_discipline", "droptail")),
+        scheme=str(scenario.get("scheme", "dmp")),
+        churn_rate=float(scenario.get("churn_rate", 0.0)),
+        warmup_s=float(scenario.get("warmup_s", 20.0)))
+
+
 def build_scenario(scenario: Dict[str, Any]) -> MultiSessionCampaign:
     """Construct the packet-level run a scenario describes."""
     validate_scenario(scenario)
@@ -184,8 +239,10 @@ def build_scenario(scenario: Dict[str, Any]) -> MultiSessionCampaign:
         **{key: scenario[key] for key in RUN_KEYS if key in scenario})
 
 
-def run_campaign_scenario(scenario: Dict[str, Any]) -> Dict[str, Any]:
-    """Run a campaign scenario; summary carries population metrics."""
+def run_packet_campaign_scenario(scenario: Dict[str, Any]) \
+        -> Dict[str, Any]:
+    """Run a packet campaign scenario; summary carries population
+    metrics."""
     result = build_scenario(scenario).run()
     taus = [float(t) for t in scenario.get("taus", DEFAULT_TAUS)]
     summary: Dict[str, Any] = {
@@ -206,36 +263,23 @@ def run_campaign_scenario(scenario: Dict[str, Any]) -> Dict[str, Any]:
         "late_fraction": {},
     }
     for tau in taus:
-        population = result.population(tau)
-        population["per_session"] = result.late_fractions(tau)
-        summary["late_fraction"][f"{tau:g}"] = population
+        summary["late_fraction"][f"{tau:g}"] = {
+            **result.population(tau),
+            "per_session": result.late_fractions(tau)}
     return summary
 
 
 def run_meanfield_scenario(scenario: Dict[str, Any]) -> Dict[str, Any]:
     """Solve a mean-field campaign scenario deterministically.
 
-    The first path spec supplies the shared bottleneck (mirroring
-    :func:`build_run`); the deterministic population ODE of
-    :mod:`repro.model.meanfield` replaces the packet simulation, so
-    the summary carries one degenerate population per tau (every
-    session sees the same limit trajectory) and no per-flow stats.
+    :func:`meanfield_spec` maps the scenario onto the population ODE
+    of :mod:`repro.model.meanfield`, which replaces the packet
+    simulation, so the summary carries one degenerate population per
+    tau (every session sees the same limit trajectory) and no
+    per-flow stats.
     """
     validate_scenario(scenario)
-    path = parse_path(scenario["paths"][0], 0)
-    spec = MeanFieldSpec(
-        n_sessions=int(scenario["n_sessions"]),
-        mu=float(scenario["mu"]),
-        bandwidth_pps=path.bottleneck.bandwidth_bps / (8.0 * 1500.0),
-        buffer_pkts=float(path.bottleneck.buffer_pkts),
-        queue_discipline=str(
-            scenario.get("queue_discipline", "droptail")),
-        paths_per_session=len(scenario["paths"]),
-        n_background=path.n_ftp,
-        base_rtt_s=2.0 * (2.0 * ACCESS_DELAY_S
-                          + path.bottleneck.delay_s),
-        duration_s=float(scenario["duration_s"]),
-        warmup_s=float(scenario.get("warmup_s", 20.0)))
+    spec = _scenario_meanfield_spec(scenario)
     solution = solve_meanfield(spec)
     taus = [float(t) for t in scenario.get("taus", DEFAULT_TAUS)]
     return {
@@ -256,14 +300,15 @@ def run_scenario(scenario: Dict[str, Any]) -> Dict[str, Any]:
     """Run a scenario and return a JSON-serialisable summary.
 
     Multi-session scenarios (``n_sessions > 1``) route to
-    :func:`run_campaign_scenario` (or, with ``backend: meanfield``,
-    to :func:`run_meanfield_scenario`) and summarise the population
-    late-fraction distribution instead of per-flow model inputs.
+    :func:`run_packet_campaign_scenario` (or, with
+    ``backend: meanfield``, to :func:`run_meanfield_scenario`) and
+    summarise the population late-fraction distribution instead of
+    per-flow model inputs.
     """
     if scenario.get("backend", "packet") == "meanfield":
         return run_meanfield_scenario(scenario)
     if int(scenario.get("n_sessions", 1)) > 1:
-        return run_campaign_scenario(scenario)
+        return run_packet_campaign_scenario(scenario)
     result = build_scenario(scenario).run()
     (session,) = result.sessions
     taus = [float(t) for t in scenario.get("taus", DEFAULT_TAUS)]
@@ -295,6 +340,6 @@ def run_scenario(scenario: Dict[str, Any]) -> Dict[str, Any]:
 def load_scenario(path: str) -> Dict[str, Any]:
     """Load a scenario dict from a JSON file."""
     with open(path) as handle:
-        scenario = json.load(handle)
+        scenario: Dict[str, Any] = json.load(handle)
     validate_scenario(scenario)
     return scenario

@@ -57,8 +57,8 @@ from repro.model.fluid import late_fraction_from_trace
 
 FloatArray = npt.NDArray[np.float64]
 
-#: Solver backends a :class:`repro.experiments.configs.Setting` can
-#: pick: the packet-level simulator or this mean-field ODE system.
+#: Campaign solvers (``cli campaign --backend``, the scenario
+#: ``backend`` key): the packet-level simulator or this ODE system.
 BACKENDS: Tuple[str, ...] = ("packet", "meanfield")
 
 #: Queue disciplines with a mean-field drop profile.  PIE/FQ-PIE keep
@@ -70,14 +70,6 @@ MEANFIELD_DISCIPLINES: Tuple[str, ...] = ("droptail", "red")
 RED_MIN_TH_FRACTION = 0.2
 RED_MAX_TH_FRACTION = 0.5
 RED_MAX_P = 0.1
-
-
-def resolve_backend(backend: str) -> str:
-    """Validate a backend name."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; "
-                         f"choose from {list(BACKENDS)}")
-    return backend
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class MeanFieldSpec:
             raise ValueError("bandwidth and buffer must be positive")
         if self.queue_discipline not in MEANFIELD_DISCIPLINES:
             raise ValueError(
-                f"mean-field backend supports "
+                f"mean-field backend supports disciplines "
                 f"{list(MEANFIELD_DISCIPLINES)}, "
                 f"not {self.queue_discipline!r}")
         if self.paths_per_session < 1:

@@ -1,7 +1,7 @@
 """Exporters for campaign health rollups.
 
 Three renderings of one :func:`repro.obs.health.HealthAggregator.
-rollup` (or a :func:`~repro.obs.health.merge_rollups` result):
+rollup`:
 
 * :func:`prometheus_exposition` — the Prometheus text exposition
   format (``# HELP`` / ``# TYPE`` plus samples), with the campaign's
@@ -99,7 +99,7 @@ def _header(name: str) -> List[str]:
 
 
 def prometheus_exposition(rollup: Mapping[str, Any]) -> str:
-    """Render one merged rollup as Prometheus text exposition."""
+    """Render one rollup as Prometheus text exposition."""
     hists = {name: LogHistogram.from_dict(data)
              for name, data in rollup["hists"].items()}
     counters = rollup["counters"]

@@ -23,9 +23,7 @@ log-bucketed mergeable histogram (HdrHistogram-style):
   and every bucket's lower edge reconstructs exactly via
   ``math.ldexp``;
 * buckets are integer counters, so ``merge`` is integer addition —
-  associative and commutative — and serial vs ``--workers N`` campaign
-  rollups are **bit-identical** (the same discipline as
-  ``telemetry.Span.signature()``);
+  associative and commutative, and independent of merge order;
 * the relative bucket width is at most ``1 / SUBBUCKETS``, which
   bounds the quantile error (see :meth:`LogHistogram.quantile`).
 
@@ -93,10 +91,8 @@ class LogHistogram:
     whose half-open range ``[lo, lo * (1 + 1/SUBBUCKETS))`` contains
     it.  ``merge`` adds integer counters, so it is associative and
     commutative and ``merge(a, b)`` equals ingesting the union of the
-    two samples — the property the bit-identical serial/parallel
-    campaign rollup contract rests on (the float ``sum`` is merged by
-    addition, which is order-sensitive only in the last ulp; campaign
-    merges always happen in submit order, so even it is reproducible).
+    two samples (the float ``sum`` is merged by addition, which is
+    order-sensitive only in the last ulp).
     """
 
     __slots__ = ("buckets", "zero_count", "count", "sum", "min", "max")
@@ -152,13 +148,6 @@ class LogHistogram:
         if other.max is not None and (self.max is None
                                       or other.max > self.max):
             self.max = other.max
-
-    @classmethod
-    def merged(cls, parts: Sequence["LogHistogram"]) -> "LogHistogram":
-        out = cls()
-        for part in parts:
-            out.merge(part)
-        return out
 
     # -- queries -------------------------------------------------------
     def quantile(self, q: float) -> float:
@@ -505,7 +494,7 @@ class HealthAggregator:
     # -- rollup --------------------------------------------------------
     def rollup(self) -> Dict[str, Any]:
         """The JSON-able campaign rollup: per-session rows plus the
-        population histograms (all mergeable via :func:`merge_rollups`)."""
+        population histograms."""
         rows = [s.as_dict() for s in self.sessions]
         startup = LogHistogram()
         stall = LogHistogram()
@@ -542,45 +531,3 @@ class HealthAggregator:
             "drops_by_link": dict(sorted(self.drops_by_link.items())),
         }
 
-
-def merge_rollups(rollups: Sequence[Mapping[str, Any]]) \
-        -> Dict[str, Any]:
-    """Merge per-replication rollup dicts, **in the given order**.
-
-    Campaign code always passes records in submit order, so serial and
-    ``--workers N`` runs produce byte-identical merged rollups (the
-    histogram merge itself is order-insensitive integer addition; the
-    fixed order additionally pins the float ``sum`` fields and the
-    session row order).  Session labels are prefixed ``r<i>:`` with
-    the replication index whenever more than one rollup merges.
-    """
-    if not rollups:
-        raise ValueError("nothing to merge")
-    hists: Dict[str, LogHistogram] = {}
-    sessions: List[Dict[str, Any]] = []
-    counters: Dict[str, int] = {}
-    drops_by_link: Dict[str, int] = {}
-    for run, rollup in enumerate(rollups):
-        for row in rollup["sessions"]:
-            merged_row = dict(row)
-            if len(rollups) > 1:
-                merged_row["label"] = f"r{run}:{row['label']}"
-            sessions.append(merged_row)
-        for name, data in rollup["hists"].items():
-            part = LogHistogram.from_dict(data)
-            if name in hists:
-                hists[name].merge(part)
-            else:
-                hists[name] = part
-        for name, value in rollup["counters"].items():
-            counters[name] = counters.get(name, 0) + int(value)
-        for link, n in rollup.get("drops_by_link", {}).items():
-            drops_by_link[link] = drops_by_link.get(link, 0) + int(n)
-    return {
-        "tau": float(rollups[0]["tau"]),
-        "sessions": sessions,
-        "hists": {name: hist.to_dict()
-                  for name, hist in hists.items()},
-        "counters": counters,
-        "drops_by_link": dict(sorted(drops_by_link.items())),
-    }

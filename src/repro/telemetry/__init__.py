@@ -3,10 +3,11 @@
 Quick start::
 
     from repro import telemetry
+    from repro.experiments.figures import build_fig8
 
     with telemetry.session() as tel:
         with tel.span("campaign", label="fig8"):
-            run_campaign()
+            build_fig8()
     print(telemetry.summary(tel))
 
 Library code never starts sessions; it asks for the ambient one::

@@ -12,15 +12,10 @@ from repro.experiments.cache import (
     ResultCache,
     resolve_cache,
 )
-from repro.experiments.campaign import (
-    meanfield_spec_for_setting,
-    run_campaign,
-)
 from repro.experiments.configs import Setting
 from repro.experiments.parallel import ModelTask, RunSpec
 from repro.experiments.runner import ScaleProfile, run_setting
 from repro.model.dmp_model import LateFractionEstimate
-from repro.model.meanfield import MeanFieldSpec, solve_meanfield
 from repro.model.tcp_chain import FlowParams
 
 TINY = ScaleProfile("tiny", runs=2, duration_s=40.0,
@@ -28,7 +23,6 @@ TINY = ScaleProfile("tiny", runs=2, duration_s=40.0,
 SHORT = ScaleProfile("short", runs=2, duration_s=10.0,
                      model_horizon_s=1000.0)
 SETTING = Setting("4-4", (4, 4), mu=80)
-CAMPAIGN = Setting("camp", (2, 2), mu=15.0, n_sessions=3)
 
 #: A well-formed single-session record: 4 packets, packet 1 missing.
 RECORD = {"flow_stats": [{"mean_rtt": 0.1}],
@@ -115,19 +109,6 @@ def test_malformed_run_record_is_a_miss(cache, case):
     assert (cache.hits, cache.misses) == (0, 1)
 
 
-def test_campaign_record_without_health_is_a_miss(cache):
-    spec = _spec(setting=CAMPAIGN)
-    sessions = RECORD["sessions"] * 3
-    record = {"flow_stats": [], "sessions": sessions}
-    _write_raw(cache, cache.run_key(spec), record)
-    assert cache.get_run(spec) is None
-    _write_raw(cache, cache.run_key(spec),
-               dict(record, health={"late": {}}))
-    assert cache.get_run(spec) is None
-    cache.put_run(spec, dict(record, health={"rollup": {}}))
-    assert cache.get_run(spec) is not None
-
-
 def test_put_run_is_a_plain_write(cache):
     spec = _spec()
     cache.put_run(spec, dict(RECORD, counters={"link.send": 1}))
@@ -192,91 +173,12 @@ def test_key_embeds_code_version(cache, monkeypatch):
     assert cache.run_key(spec) != before
 
 
-def test_run_key_separates_backends(cache):
-    """Packet and mean-field requests never share one record."""
-    packet = cache.run_key(_spec())
-    meanfield = cache.run_key(_spec(setting=dataclasses.replace(
-        SETTING, n_sessions=100, backend="meanfield")))
-    assert packet != meanfield
-    payload = cache.run_key_payload(_spec())
-    assert payload["setting"]["backend"] == "packet"
-
-
 def test_backend_axis_forced_a_version_bump():
-    """Growing the key material (v7, ``backend``) upgrades old
-    records: a pre-backend record — implicitly packet — can never be
-    read back for a mean-field request or vice versa."""
-    assert CODE_VERSION >= 7
-
-
-def _mf_spec(**overrides):
-    base = dict(n_sessions=100, mu=10.0, bandwidth_pps=800.0,
-                buffer_pkts=200.0, duration_s=30.0)
-    base.update(overrides)
-    return MeanFieldSpec(**base)
-
-
-def test_meanfield_key_sensitive_to_every_field(cache):
-    base = _mf_spec()
-    variants = [
-        _mf_spec(n_sessions=101),
-        _mf_spec(mu=11.0),
-        _mf_spec(bandwidth_pps=801.0),
-        _mf_spec(buffer_pkts=201.0),
-        _mf_spec(queue_discipline="red"),
-        _mf_spec(paths_per_session=3),
-        _mf_spec(n_background=1),
-        _mf_spec(base_rtt_s=0.07),
-        _mf_spec(duration_s=31.0),
-        _mf_spec(warmup_s=21.0),
-        _mf_spec(drain_s=61.0),
-        _mf_spec(wmax=33),
-        _mf_spec(to_ratio=2.5),
-        _mf_spec(min_rto_s=0.3),
-        _mf_spec(dt=0.004),
-    ]
-    keys = {cache.meanfield_key(spec) for spec in variants}
-    keys.add(cache.meanfield_key(base))
-    assert len(keys) == len(variants) + 1
-    payload = cache.meanfield_key_payload(base)
-    assert payload["kind"] == "meanfield"
-    assert payload["backend"] == "meanfield"
-    assert payload["version"] == cache_mod.CODE_VERSION
-
-
-MF_CAMPAIGN = Setting("mf", (2, 2), mu=10.0, n_sessions=100,
-                      backend="meanfield")
-MF_PROFILE = ScaleProfile("mf", runs=1, duration_s=20.0,
-                          model_horizon_s=0.0)
-
-
-def test_meanfield_record_answers_any_tau(cache):
-    """One solve is cached; a later request at other taus is a hit and
-    equals the live solution's late fractions exactly."""
-    run_campaign(MF_CAMPAIGN, taus=(2.0,), profile=MF_PROFILE,
-                 cache=cache)
-    assert (cache.misses, cache.stores) == (1, 1)
-    taus_b = (0.0, 1.5, 4.0)
-    again = run_campaign(MF_CAMPAIGN, taus=taus_b, profile=MF_PROFILE,
-                         cache=cache)
-    assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
-    solution = solve_meanfield(meanfield_spec_for_setting(
-        MF_CAMPAIGN, MF_PROFILE.duration_s))
-    assert [pt.mean for pt in again.points] \
-        == [solution.late_fraction(tau) for tau in taus_b]
-
-
-def test_corrupted_meanfield_record_is_a_miss(cache, tmp_path):
-    spec = _mf_spec()
-    scalars = {"mean_drop_prob": 0.1, "mean_queue_pkts": 1.0}
-    for record in ({"goodput_pps": "not-a-list", **scalars},
-                   {"goodput_pps": [], **scalars},
-                   {"goodput_pps": [1.0, -0.5], **scalars},
-                   {"goodput_pps": [1.0, float("nan")], **scalars},
-                   {"goodput_pps": [1.0, 2.0], "mean_queue_pkts": 1.0}):
-        _write_raw(cache, cache.meanfield_key(spec), record)
-        assert cache.get_meanfield(spec) is None, record
-    assert cache.hits == 0
+    """Growing the key material (v7, ``backend``) upgraded old
+    records: a pre-backend record — implicitly packet — was never read
+    back for a mean-field request or vice versa.  Dropping the axis
+    again (v12, with the replicated campaign driver) bumped once more."""
+    assert CODE_VERSION >= 12
 
 
 def test_model_key_sensitive_to_flows_and_inputs(cache):

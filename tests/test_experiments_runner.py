@@ -42,14 +42,10 @@ def test_scale_profile_rejects_bad_sizes(bad):
 
 
 @pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])
-def test_run_setting_and_run_campaign_reject_bad_taus(tau):
-    from repro.experiments.campaign import run_campaign
+def test_run_setting_rejects_bad_taus(tau):
     setting = Setting("2-2", (2, 2), mu=50)
     with pytest.raises(ValueError, match="startup delays"):
         run_setting(setting, taus=(2.0, tau), profile=TINY, cache=False)
-    campaign = Setting("camp", (2, 2), mu=15.0, n_sessions=3)
-    with pytest.raises(ValueError, match="startup delays"):
-        run_campaign(campaign, taus=(tau,), profile=TINY, cache=False)
 
 
 def test_mean_ci95():

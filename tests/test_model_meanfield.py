@@ -25,7 +25,6 @@ from repro.model.meanfield import (
     MEANFIELD_DISCIPLINES,
     MeanFieldSpec,
     late_fraction_grid,
-    resolve_backend,
     solve_meanfield,
 )
 
@@ -45,10 +44,6 @@ def quick_spec(**overrides):
 class TestSpecValidation:
     def test_backends_registry(self):
         assert BACKENDS == ("packet", "meanfield")
-        assert resolve_backend("packet") == "packet"
-        assert resolve_backend("meanfield") == "meanfield"
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("ns2")
 
     @pytest.mark.parametrize("overrides", [
         {"n_sessions": 0},

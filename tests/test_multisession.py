@@ -3,7 +3,7 @@
 Covers the campaign stack end to end: packet-pool recycling semantics,
 FIFO bottleneck service, the fan-in topology under every queue
 discipline, population metrics, the experiments-layer plumb-through
-(cache records, executor fan-out, scenarios, CLI) and the
+(run records, scenarios, CLI, the mean-field spec builder) and the
 hypothesis-backed invariants — packet conservation across sessions,
 per-(session, path) FIFO delivery, and bit-identical seeded reruns.
 """
@@ -15,17 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.campaign import MultiSessionCampaign
 from repro.core.metrics import quantile
-from repro.experiments.campaign import run_campaign
-from repro.experiments.configs import ALL_SETTINGS, Setting
-from repro.experiments.parallel import (
-    ReplicationExecutor,
-    RunSpec,
-    simulate_run,
-)
-from repro.experiments.runner import ScaleProfile, run_setting
+from repro.experiments.configs import ALL_SETTINGS
+from repro.experiments.parallel import RunSpec
 from repro.experiments.scenarios import (
     ScenarioError,
+    build_run,
     build_scenario,
+    meanfield_spec,
     run_scenario,
     validate_scenario,
 )
@@ -35,9 +31,6 @@ from repro.sim.topology import BottleneckSpec
 
 SPEC = BottleneckSpec(bandwidth_bps=8e6, delay_s=0.01,
                       buffer_pkts=80)
-
-TINY = ScaleProfile("tiny", runs=2, duration_s=10.0,
-                    model_horizon_s=1000.0)
 
 
 def small_campaign(**overrides):
@@ -214,81 +207,23 @@ class TestCampaign:
 # ---------------------------------------------------------------------
 # Experiments-layer plumb-through
 # ---------------------------------------------------------------------
-CAMPAIGN_SETTING = Setting("camp-test", (2, 2), mu=15.0,
-                           queue_discipline="red", n_sessions=3,
-                           churn_rate=0.4)
-
-
 class TestExperiments:
-    def test_simulate_run_campaign_record(self):
-        from repro.experiments.cache import run_late_fractions
-        from repro.experiments.parallel import HEALTH_REFERENCE_TAU
-        spec = RunSpec(setting=CAMPAIGN_SETTING, duration_s=8.0,
-                       scheme="dmp", seed=2, send_buffer_pkts=16)
-        record = json.loads(json.dumps(simulate_run(spec)))
-        assert len(record["sessions"]) == 3
-        assert all(s["total_packets"] == 120  # 8 s x mu=15
-                   for s in record["sessions"])
-        assert len(record["flow_stats"]) == 6  # 3 sessions x 2 paths
-        # The streaming health rollup and the post-hoc reader of the
-        # stored arrivals agree exactly at the rollup's reference tau.
-        rows = record["health"]["rollup"]["sessions"]
-        late = run_late_fractions(record, CAMPAIGN_SETTING.mu,
-                                  HEALTH_REFERENCE_TAU)
-        assert [row["late_fraction"] for row in rows] \
-            == [lf for lf, _ in late]
-
     def test_cache_requires_sessions_coverage(self, tmp_path):
+        """A run record holds exactly one session's arrivals."""
         from repro.experiments.cache import ResultCache
         cache = ResultCache(str(tmp_path))
-        spec = RunSpec(setting=CAMPAIGN_SETTING, duration_s=5.0,
+        spec = RunSpec(setting=ALL_SETTINGS["2-2"], duration_s=5.0,
                        scheme="dmp", seed=1, send_buffer_pkts=16)
         session = {"total_packets": 3, "arrivals": [[0, 0.5]]}
-        record = {"flow_stats": [], "health": {"rollup": {}}}
+        record = {"flow_stats": []}
         cache.put_run(spec, record)
-        # Campaign spec without per-session arrivals -> miss.
+        # No per-session arrivals -> miss.
         assert cache.get_run(spec) is None
-        # Fewer sessions than the setting runs -> miss.
-        cache.put_run(spec, dict(record, sessions=[session] * 2))
-        assert cache.get_run(spec) is None
+        # More than one session (a fan-in campaign's shape) -> miss.
         cache.put_run(spec, dict(record, sessions=[session] * 3))
-        assert cache.get_run(spec)["sessions"] == [session] * 3
-
-    def test_run_setting_rejects_campaign_settings(self):
-        with pytest.raises(ValueError, match="run_campaign"):
-            run_setting(CAMPAIGN_SETTING, profile=TINY, cache=False)
-
-    def test_run_campaign_rejects_single_session(self):
-        with pytest.raises(ValueError, match="run_setting"):
-            run_campaign(ALL_SETTINGS["2-2"], profile=TINY,
-                         cache=False)
-
-    def test_run_campaign_serial_parallel_identical(self):
-        serial = run_campaign(CAMPAIGN_SETTING, taus=(2.0, 4.0),
-                              profile=TINY, cache=False)
-        parallel_exec = ReplicationExecutor(max_workers=2)
-        parallel = run_campaign(CAMPAIGN_SETTING, taus=(2.0, 4.0),
-                                profile=TINY, cache=False,
-                                executor=parallel_exec)
-        assert serial.per_run_sessions == parallel.per_run_sessions
-        for mine, theirs in zip(serial.points, parallel.points):
-            assert mine == theirs
-        # The QoE health rollup merges in submit order: serial and
-        # --workers 2 runs must agree byte for byte.
-        import json
-        assert json.dumps(serial.health, sort_keys=True) == \
-            json.dumps(parallel.health, sort_keys=True)
-
-    def test_run_campaign_uses_cache(self, tmp_path):
-        from repro.experiments.cache import ResultCache
-        cache = ResultCache(str(tmp_path))
-        first = run_campaign(CAMPAIGN_SETTING, taus=(2.0,),
-                             profile=TINY, cache=cache)
-        assert cache.stores == TINY.runs
-        again = run_campaign(CAMPAIGN_SETTING, taus=(2.0,),
-                             profile=TINY, cache=cache)
-        assert cache.hits == TINY.runs
-        assert first.per_run_sessions == again.per_run_sessions
+        assert cache.get_run(spec) is None
+        cache.put_run(spec, dict(record, sessions=[session]))
+        assert cache.get_run(spec)["sessions"] == [session]
 
 
 class TestScenarios:
@@ -327,6 +262,14 @@ class TestScenarios:
         bad = dict(self.SCENARIO, shared_bottleneck=True)
         with pytest.raises(ScenarioError):
             validate_scenario(bad)
+        # The mean-field ODE counts packets at the video segment size,
+        # so a segment size it would silently ignore is rejected.
+        meanfield = dict(self.SCENARIO, backend="meanfield",
+                         churn_rate=0.0)
+        validate_scenario(meanfield)
+        bad = dict(meanfield, segment_bytes=500)
+        with pytest.raises(ScenarioError, match="segment"):
+            validate_scenario(bad)
 
 
 class TestCli:
@@ -343,6 +286,16 @@ class TestCli:
         from repro.experiments.cli import main
         with pytest.raises(SystemExit):
             main(["campaign", "--sessions", "0"])
+
+    def test_meanfield_campaign_rejects_static_scheme(self, capsys):
+        """The ODE models DMP only: ``--scheme static`` is a usage
+        error, never a silent DMP solve."""
+        from repro.experiments.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--backend", "meanfield", "--sessions",
+                  "100", "--scheme", "static"])
+        assert exc.value.code == 2
+        assert "DMP" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------
@@ -388,62 +341,45 @@ def test_per_session_path_fifo(seed):
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=999))
 def test_seeded_churn_campaign_is_bit_identical(seed):
-    spec = RunSpec(
-        setting=Setting("camp-prop", (2, 2), mu=15.0, n_sessions=3,
-                        churn_rate=0.6),
-        duration_s=5.0, scheme="dmp", seed=seed,
-        send_buffer_pkts=16)
-    assert simulate_run(spec) == simulate_run(spec)
+    def run():
+        result = build_run(15.0, 5.0, ALL_SETTINGS["2-2"].path_configs(),
+                           n_sessions=3, churn_rate=0.6,
+                           seed=seed).run()
+        return [(s.start_at, s.arrivals, s.flow_stats)
+                for s in result.sessions]
+    assert run() == run()
 
 
 # ---------------------------------------------------------------------
-# Mean-field backend dispatch and guards
+# Mean-field spec builder and its guards
 # ---------------------------------------------------------------------
 class TestMeanfieldBackendDispatch:
-    SETTING = Setting("mf-camp", (2, 2), mu=50.0, n_sessions=100,
-                      backend="meanfield")
-    PROFILE = ScaleProfile("tiny", runs=2, duration_s=20.0,
-                           model_horizon_s=0.0)
+    PATHS = ALL_SETTINGS["2-2"].path_configs()
 
-    def test_run_campaign_routes_to_the_ode(self):
-        run = run_campaign(self.SETTING, taus=(2.0, 6.0),
-                           profile=self.PROFILE, cache=False)
-        assert [pt.tau for pt in run.points] == [2.0, 6.0]
-        for pt in run.points:
-            assert 0.0 <= pt.mean <= 1.0
-            # The limit object is deterministic and degenerate.
-            assert pt.ci95 == 0.0
-            assert pt.p50 == pt.p95 == pt.p99 == pt.worst == pt.mean
-        assert run.per_run_sessions[2.0] == [[run.point(2.0).mean]]
-        # Reruns are bit-identical: no RNG anywhere in the backend.
-        again = run_campaign(self.SETTING, taus=(2.0, 6.0),
-                             profile=self.PROFILE, cache=False)
-        assert [pt.mean for pt in again.points] \
-            == [pt.mean for pt in run.points]
+    def test_meanfield_spec_maps_the_fan_in(self):
+        """The first path supplies the bottleneck and FTP load; the
+        path count is ``len(paths)``."""
+        paths = ALL_SETTINGS["1-2"].path_configs() \
+            + ALL_SETTINGS["3-3"].path_configs()[:1]
+        spec = meanfield_spec(40.0, 20.0, paths, 50)
+        first = paths[0]
+        assert spec.bandwidth_pps == \
+            first.bottleneck.bandwidth_bps / (8.0 * 1500)
+        assert spec.buffer_pkts == first.bottleneck.buffer_pkts
+        assert spec.n_background == first.n_ftp
+        assert spec.paths_per_session == 3
+        assert (spec.n_sessions, spec.mu, spec.duration_s) \
+            == (50, 40.0, 20.0)
 
     def test_meanfield_rejects_unsupported_axes(self):
-        import dataclasses
-        for bad in (
-                dataclasses.replace(self.SETTING, churn_rate=0.5),
-                dataclasses.replace(self.SETTING,
-                                    queue_discipline="pie"),
-                dataclasses.replace(self.SETTING, backend="ns2"),
-        ):
+        meanfield_spec(50.0, 20.0, self.PATHS, 100)
+        for overrides in ({"churn_rate": 0.5},
+                          {"queue_discipline": "pie"}):
             with pytest.raises(ValueError):
-                run_campaign(bad, taus=(2.0,), profile=self.PROFILE,
-                             cache=False)
+                meanfield_spec(50.0, 20.0, self.PATHS, 100,
+                               **overrides)
+        with pytest.raises(ValueError, match="population model"):
+            meanfield_spec(50.0, 20.0, self.PATHS, 1)
         with pytest.raises(ValueError, match="DMP"):
-            run_campaign(self.SETTING, taus=(2.0,),
-                         profile=self.PROFILE, scheme="static",
-                         cache=False)
-
-    def test_run_setting_and_simulate_run_reject_meanfield(self):
-        single = Setting("mf-single", (2, 2), mu=50.0,
-                         backend="meanfield")
-        with pytest.raises(ValueError, match="packet-sim only"):
-            run_setting(single, taus=(2.0,), profile=self.PROFILE,
-                        cache=False, run_model=False)
-        spec = RunSpec(setting=self.SETTING, duration_s=5.0,
-                       scheme="dmp", seed=1, send_buffer_pkts=16)
-        with pytest.raises(ValueError, match="backend"):
-            simulate_run(spec)
+            meanfield_spec(50.0, 20.0, self.PATHS, 100,
+                           scheme="static")

@@ -60,18 +60,23 @@ def test_hist_merge_equals_ingest_union(xs, ys):
 
 @given(xs=value_lists, ys=value_lists)
 def test_hist_merge_commutative(xs, ys):
-    ab = LogHistogram.merged([hist_of(xs), hist_of(ys)])
-    ba = LogHistogram.merged([hist_of(ys), hist_of(xs)])
+    ab = hist_of(xs)
+    ab.merge(hist_of(ys))
+    ba = hist_of(ys)
+    ba.merge(hist_of(xs))
     assert _structure(ab) == _structure(ba)
     assert math.isclose(ab.sum, ba.sum, rel_tol=1e-9, abs_tol=1e-9)
 
 
 @given(xs=value_lists, ys=value_lists, zs=value_lists)
 def test_hist_merge_associative(xs, ys, zs):
-    left = LogHistogram.merged([hist_of(xs), hist_of(ys)])
+    left = hist_of(xs)
+    left.merge(hist_of(ys))
     left.merge(hist_of(zs))
+    inner = hist_of(ys)
+    inner.merge(hist_of(zs))
     right = hist_of(xs)
-    right.merge(LogHistogram.merged([hist_of(ys), hist_of(zs)]))
+    right.merge(inner)
     assert _structure(left) == _structure(right)
     assert math.isclose(left.sum, right.sum, rel_tol=1e-9,
                         abs_tol=1e-9)

@@ -33,7 +33,7 @@ STRICT_PATHS = ["src/repro/sim", "src/repro/obs",
                 "src/repro/experiments/optional_deps.py",
                 "src/repro/experiments/sweep.py",
                 "src/repro/experiments/runner.py",
-                "src/repro/experiments/campaign.py",
+                "src/repro/experiments/scenarios.py",
                 "src/repro/model/singlepath.py",
                 "src/repro/model/fluid.py",
                 "src/repro/model/meanfield.py",
