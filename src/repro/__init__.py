@@ -11,8 +11,8 @@ Layers
 * :mod:`repro.model` — the analytical CTMC model and its solvers and
   the Section-7.3 fluid model.
 * :mod:`repro.experiments` — the paper's experiment matrix: Table-1
-  configurations, replicated runners, trace-based parameter estimation,
-  emulated Internet experiments and the Section-7 parameter sweeps.
+  configurations, replicated runners, emulated Internet experiments
+  and the Section-7 parameter sweeps.
 """
 
 __version__ = "1.0.0"
@@ -22,7 +22,6 @@ from repro.core import (
     DmpStreamer,
     MultiSessionCampaign,
     SessionSummary,
-    SinglePathStreamer,
     StaticStreamer,
     StreamClient,
     VideoPacket,
@@ -41,7 +40,6 @@ __all__ = [
     "SessionSummary",
     "DmpStreamer",
     "StaticStreamer",
-    "SinglePathStreamer",
     "StreamClient",
     "VideoPacket",
     "VideoSource",

@@ -2,9 +2,9 @@
 
 The public API here lets a user stream a live CBR video over K TCP
 connections using either the paper's Dynamic MPath-streaming scheme
-(:class:`DmpStreamer`), the static-allocation baseline
-(:class:`StaticStreamer`), or a single path
-(:class:`SinglePathStreamer`), and then evaluate the client-side
+(:class:`DmpStreamer`, which with one connection is single-path
+streaming) or the static-allocation baseline
+(:class:`StaticStreamer`), and then evaluate the client-side
 late-packet metrics for any startup delay.
 """
 
@@ -26,11 +26,7 @@ from repro.core.metrics import (
 from repro.core.packets import VideoPacket
 from repro.core.server_queue import ServerQueue
 from repro.core.source import VideoSource
-from repro.core.streamers import (
-    DmpStreamer,
-    SinglePathStreamer,
-    StaticStreamer,
-)
+from repro.core.streamers import DmpStreamer, StaticStreamer
 
 __all__ = [
     "SessionAssembly",
@@ -43,7 +39,6 @@ __all__ = [
     "StreamClient",
     "DmpStreamer",
     "StaticStreamer",
-    "SinglePathStreamer",
     "PlaybackMetrics",
     "GlitchStats",
     "glitch_statistics",

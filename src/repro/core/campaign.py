@@ -40,7 +40,7 @@ from repro.core.metrics import (GlitchStats, PlaybackMetrics,
                                 glitch_statistics, late_fraction,
                                 playback_metrics, quantile)
 from repro.obs.bus import EventBus
-from repro.obs.health import HealthAggregator, hist_of
+from repro.obs.health import HealthAggregator
 from repro.obs.recorder import FlightRecorder, Trigger
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.sinks import CountersSink, JsonlSink, TraceSink
@@ -56,14 +56,6 @@ from repro.traffic.http import HttpFlow
 
 #: Population percentiles reported by :meth:`CampaignResult.population`.
 POPULATION_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
-
-#: From this session count up, :meth:`CampaignResult.population`
-#: switches from the exact list-based quantile (sorts all fractions)
-#: to the mergeable :class:`~repro.obs.health.LogHistogram` — the same
-#: representation campaign rollups merge across workers, with relative
-#: quantile error bounded by the bucket width (1/64).
-HISTOGRAM_THRESHOLD = 64
-
 
 @dataclass
 class SessionSummary:
@@ -115,13 +107,8 @@ class CampaignResult:
         return [s.late_fraction(tau) for s in self.sessions]
 
     def population(self, tau: float) -> Dict[str, float]:
-        """Distribution summary of per-session late fractions.
-
-        Below :data:`HISTOGRAM_THRESHOLD` sessions the percentiles
-        come from the exact list-based :func:`~repro.core.metrics.
-        quantile`; from there up they come from a
-        :class:`~repro.obs.health.LogHistogram`, whose quantiles
-        underestimate the order statistic by at most one log bucket.
+        """Distribution summary of per-session late fractions; the
+        percentiles are the exact :func:`~repro.core.metrics.quantile`.
         """
         fractions = self.late_fractions(tau)
         summary = {
@@ -129,13 +116,8 @@ class CampaignResult:
             "min": min(fractions),
             "max": max(fractions),
         }
-        if len(fractions) < HISTOGRAM_THRESHOLD:
-            for q in POPULATION_QUANTILES:
-                summary[f"p{int(q * 100)}"] = quantile(fractions, q)
-        else:
-            hist = hist_of(fractions)
-            for q in POPULATION_QUANTILES:
-                summary[f"p{int(q * 100)}"] = hist.quantile(q)
+        for q in POPULATION_QUANTILES:
+            summary[f"p{int(q * 100)}"] = quantile(fractions, q)
         return summary
 
 

@@ -13,7 +13,7 @@ Definitions follow Section 2 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Arrivals = Sequence[Tuple[int, float]]
 
@@ -102,8 +102,11 @@ def quantile(values: Sequence[float], q: float) -> float:
     fraction = position - lower
     if fraction == 0.0:
         return ordered[lower]
-    upper = min(lower + 1, len(ordered) - 1)
-    return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
+    lo = ordered[lower]
+    hi = ordered[min(lower + 1, len(ordered) - 1)]
+    # Clamped: the rounded blend of two neighbours can land one ulp
+    # outside them (or off their common value when they are equal).
+    return min(max(lo * (1.0 - fraction) + hi * fraction, lo), hi)
 
 
 def reordering_stats(arrivals: Arrivals) -> Tuple[int, int]:
@@ -203,10 +206,3 @@ def playback_metrics(arrivals: Arrivals, mu: float, tau: float,
         arrival_order_late_fraction=ao_frac,
         out_of_order_packets=ooo_count,
         max_reorder_depth=ooo_depth)
-
-
-def tau_curve(arrivals: Arrivals, mu: float, taus: Iterable[float],
-              total_packets: Optional[int] = None) -> List[PlaybackMetrics]:
-    """Evaluate metrics over a grid of startup delays from one run."""
-    return [playback_metrics(arrivals, mu, tau, total_packets)
-            for tau in taus]

@@ -8,14 +8,14 @@
 * :class:`StaticStreamer` — the Section 7.4 baseline: packets are
   assigned to paths in fixed proportions decided up front (equal split
   by default, i.e. odd/even packet numbers for K = 2).
-* :class:`SinglePathStreamer` — the single-path scheme of [31], used in
-  the Section 7.3 comparison; identical to DMP with K = 1.
+
+The single-path scheme of [31] is :class:`DmpStreamer` with K = 1.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
 from repro.core.packets import VideoPacket
 from repro.core.server_queue import ServerQueue
@@ -29,7 +29,7 @@ class DmpStreamer:
 
     def __init__(self, sim: Simulator,
                  connections: Sequence[TcpConnection],
-                 queue: Optional[ServerQueue] = None):
+                 queue: Optional[ServerQueue] = None) -> None:
         if not connections:
             raise ValueError("need at least one TCP connection")
         self.sim = sim
@@ -100,14 +100,6 @@ class DmpStreamer:
         return [count / total for count in self.sent_per_path]
 
 
-class SinglePathStreamer(DmpStreamer):
-    """The single-path TCP streaming scheme of [31] (K = 1)."""
-
-    def __init__(self, sim: Simulator, connection: TcpConnection,
-                 queue: Optional[ServerQueue] = None):
-        super().__init__(sim, [connection], queue=queue)
-
-
 class StaticStreamer:
     """Static packet allocation onto K paths (Section 7.4 baseline).
 
@@ -120,7 +112,7 @@ class StaticStreamer:
 
     def __init__(self, sim: Simulator,
                  connections: Sequence[TcpConnection],
-                 weights: Optional[Sequence[float]] = None):
+                 weights: Optional[Sequence[float]] = None) -> None:
         if not connections:
             raise ValueError("need at least one TCP connection")
         self.sim = sim
@@ -132,7 +124,8 @@ class StaticStreamer:
             raise ValueError("need one positive weight per path")
         total = float(sum(weights))
         self.weights = [w / total for w in weights]
-        self._queues: List[deque] = [deque() for _ in range(k)]
+        self._queues: List[Deque[VideoPacket]] = [
+            deque() for _ in range(k)]
         self._credits = [0.0] * k
         self.sent_per_path = [0] * k
         self.assigned_per_path = [0] * k

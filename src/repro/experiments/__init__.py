@@ -5,8 +5,8 @@
   points, see module docstring).
 * :mod:`repro.experiments.runner` — replicated simulation runs with
   confidence intervals and model comparison (Figs. 4-6, Tables 2-3).
-* :mod:`repro.experiments.measure` — tcpdump-style per-flow parameter
-  estimation from packet traces (Section 6 methodology).
+* :mod:`repro.experiments.measure` — the windowed loss correlation of
+  two flows in a packet trace (Table 3).
 * :mod:`repro.experiments.internet` — emulated wide-area experiments
   standing in for the paper's PlanetLab runs (Fig. 7).
 * :mod:`repro.experiments.sweep` — the Section-7 model-based parameter
@@ -39,18 +39,10 @@ from repro.experiments.runner import (
     run_setting,
     scale_profile,
 )
-from repro.experiments.scenarios import (
-    build_run,
-    build_scenario,
-    load_scenario,
-    run_scenario,
-)
+from repro.experiments.scenarios import build_run
 
 __all__ = [
     "build_run",
-    "build_scenario",
-    "load_scenario",
-    "run_scenario",
     "LinkConfig",
     "Setting",
     "PAPER_TABLE1",

@@ -18,10 +18,9 @@ startup delay: packet ``i`` is late when it arrives after
 ``tau + i/mu`` (Section 2), so one run's arrivals answer every tau.
 A packet-run record holds ``flow_stats`` plus its one session's
 ``{"total_packets": n, "arrivals": [[number, t], ...]}`` under
-``sessions``, with ``t`` on the session's video clock; instrumented
-runs add ``counters``.  :func:`run_late_fractions` answers any tau on
-read, bit-identical to the live result (JSON floats round-trip
-exactly).  Model records keep tau in their key: ``Nmax = mu*tau`` is a
+``sessions``, with ``t`` on the session's video clock.
+:func:`run_late_fractions` answers any tau on read, bit-identical to
+the live result (JSON floats round-trip exactly).  Model records keep tau in their key: ``Nmax = mu*tau`` is a
 model parameter.
 
 Invalidation: every key embeds :data:`CODE_VERSION`.  Bump it whenever
@@ -93,7 +92,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ``n_sessions``/``churn_rate``/``backend`` axes (run keys drop them,
 #: every run record holds exactly one session) and mean-field records
 #: are no longer a record kind.
-CODE_VERSION = 12
+#: v13: ``RunSpec`` lost its unkeyed ``counters`` flag and run records
+#: their ``counters``; the payload bytes are unchanged, bumped per the
+#: RL004 diff policy.
+CODE_VERSION = 13
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE = "REPRO_CACHE"
@@ -270,16 +272,11 @@ class ResultCache:
         """Cached record for one replication, or None.
 
         A record is a hit only when its one session's arrivals are well
-        formed and — when the spec requests probe counters — the
-        counters are present: counter-less records written by plain
-        runs stay usable for plain requests but force a re-run for
-        instrumented ones.
+        formed.
         """
         record = self._read(self.run_key(spec), "run") or {}
         if not isinstance(record.get("flow_stats"), list) \
-                or not _valid_sessions(record.get("sessions")) \
-                or (spec.counters
-                    and not isinstance(record.get("counters"), dict)):
+                or not _valid_sessions(record.get("sessions")):
             self._miss("run")
             return None
         self._hit("run")

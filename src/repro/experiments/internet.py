@@ -15,10 +15,11 @@ in the packet simulator with wide-area-flavoured paths:
   bottleneck and heavier cross traffic.
 
 "Randomly chosen times" becomes randomly drawn background intensity;
-the per-flow parameters are then *estimated from the run* and fed to
+the per-flow parameters are then *measured on the run* (the senders'
+own loss, RTT and timeout counters, as in ``run_setting``) and fed to
 the model, preserving exactly what Fig. 7 tests: model predictions
 versus measurements on paths whose parameters are only known through
-estimation.
+measurement.
 """
 
 from __future__ import annotations
@@ -30,15 +31,12 @@ from typing import Dict, List, Optional, Sequence
 from repro import telemetry
 from repro.experiments.parallel import ReplicationExecutor
 from repro.experiments.runner import (
-    MEASURED_LOSS_MODEL,
-    MIN_MEASURED_P,
-    MIN_MEASURED_TO,
     ScaleProfile,
+    measured_model_inputs,
     scale_profile,
 )
 from repro.experiments.scenarios import build_run
 from repro.model.dmp_model import DmpModel
-from repro.model.tcp_chain import FlowParams
 from repro.sim.topology import BottleneckSpec, PathConfig
 
 INTERNET_SEGMENT_BYTES = 1448
@@ -110,16 +108,7 @@ def _run_experiment_body(spec: _ExperimentSpec) \
         seed=spec.seed, segment_bytes=INTERNET_SEGMENT_BYTES,
         send_buffer_pkts=48).run().sessions
 
-    measured = [{
-        "p": stats["loss_event_estimate"],
-        "rtt": stats["mean_rtt"],
-        "to": stats["timeout_ratio"],
-    } for stats in run.flow_stats]
-    flow_params = [
-        FlowParams(p=max(m["p"], MIN_MEASURED_P), rtt=m["rtt"],
-                   to_ratio=max(m["to"], MIN_MEASURED_TO),
-                   loss_model=MEASURED_LOSS_MODEL)
-        for m in measured]
+    measured, flow_params = measured_model_inputs([run.flow_stats])
 
     sim_late = {}
     sim_ao = {}

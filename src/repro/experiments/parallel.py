@@ -66,10 +66,6 @@ class RunSpec:
     scheme: str
     seed: int
     send_buffer_pkts: int
-    # counters is deliberately NOT part of the cache key: get_run()
-    # re-checks that a record carries counters when asked, so a plain
-    # and an instrumented request share one record.
-    counters: bool = False  # repro-lint: disable=RL004 -- presence re-checked on read; counter-less records stay usable
 
 
 @dataclass(frozen=True)
@@ -101,17 +97,13 @@ def simulate_run(spec: RunSpec) -> Dict[str, Any]:
             shared_bottleneck=setting.shared_bottleneck,
             queue_discipline=setting.queue_discipline, seed=spec.seed,
             send_buffer_pkts=spec.send_buffer_pkts)
-        counters = run.attach_counters() if spec.counters else None
         result = run.run()
-        record: Dict[str, Any] = {
+        return {
             "flow_stats": [stats for s in result.sessions
                            for stats in s.flow_stats],
             "sessions": [session_record(s.total_packets, s.arrivals)
                          for s in result.sessions],
         }
-        if counters is not None:
-            record["counters"] = counters.as_dict()
-        return record
 
 
 def solve_model(task: ModelTask) -> LateFractionEstimate:

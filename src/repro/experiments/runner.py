@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    TypeVar, Union)
 
 from repro import telemetry
 from repro.experiments.cache import (ResultCache, resolve_cache,
@@ -49,6 +50,9 @@ MIN_MEASURED_TO = 1.0
 # simulator's backlogged-flow throughput; the paper-faithful "bursty"
 # variant sits ~10% low).  Section-7 sweeps keep "bursty".
 MEASURED_LOSS_MODEL = "sparse"
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,6 @@ class ReplicatedRun:
     measured: List[Dict[str, float]]
     points: List[TauPoint]
     per_run_late: Dict[float, List[float]] = field(default_factory=dict)
-    per_run_counters: List[Dict[str, Any]] = field(default_factory=list)
 
     def point(self, tau: float) -> TauPoint:
         for pt in self.points:
@@ -191,19 +194,60 @@ def check_taus(taus: Sequence[float]) -> List[float]:
     return out
 
 
+def _through_cache(items: Sequence[T], get: Callable[[T], Optional[R]],
+                   put: Callable[[T, R], None],
+                   compute: Callable[[List[T]], List[R]]) -> List[R]:
+    """One result per item, in item order: ``get`` every item, then
+    ``compute`` the misses and ``put`` each, in item order."""
+    found: List[Optional[R]] = [get(item) for item in items]
+    missing = [idx for idx, hit in enumerate(found) if hit is None]
+    for idx, result in zip(missing,
+                           compute([items[idx] for idx in missing])):
+        found[idx] = result
+        put(items[idx], result)
+    return [result for result in found if result is not None]
+
+
 def fetch_records(specs: Sequence[RunSpec], cache: Optional[ResultCache],
                   executor: ReplicationExecutor) -> List[Dict[str, Any]]:
     """One record per spec, in spec order: cache hits are reused and
     the misses simulated over ``executor`` and stored."""
-    records: List[Optional[Dict[str, Any]]] = [
-        cache.get_run(spec) if cache else None for spec in specs]
-    missing = [idx for idx, rec in enumerate(records) if rec is None]
-    fresh = executor.run_replications([specs[idx] for idx in missing])
-    for idx, record in zip(missing, fresh):
-        records[idx] = record
-        if cache:
-            cache.put_run(specs[idx], record)
-    return [rec for rec in records if rec is not None]
+    if cache is None:
+        return executor.run_replications(specs)
+    return _through_cache(specs, cache.get_run, cache.put_run,
+                          executor.run_replications)
+
+
+def fetch_estimates(tasks: Sequence[ModelTask],
+                    cache: Optional[ResultCache],
+                    executor: ReplicationExecutor) \
+        -> List[LateFractionEstimate]:
+    """One estimate per task, in task order: cache hits are reused and
+    the misses solved over ``executor`` and stored."""
+    if cache is None:
+        return executor.solve_models(tasks)
+    return _through_cache(tasks, cache.get_model, cache.put_model,
+                          executor.solve_models)
+
+
+def measured_model_inputs(flow_stats: Sequence[Sequence[Dict[str, Any]]]) \
+        -> Tuple[List[Dict[str, float]], List[FlowParams]]:
+    """Per-path (p, R, T_O) of the senders' counters, averaged over
+    runs (``flow_stats[run][path]``), and the model's flows for them:
+    floored by :data:`MIN_MEASURED_P`/:data:`MIN_MEASURED_TO`, with the
+    :data:`MEASURED_LOSS_MODEL` loss model."""
+    runs = len(flow_stats)
+    measured = [{
+        "p": sum(s[idx]["loss_event_estimate"] for s in flow_stats) / runs,
+        "rtt": sum(s[idx]["mean_rtt"] for s in flow_stats) / runs,
+        "to": sum(s[idx]["timeout_ratio"] for s in flow_stats) / runs,
+    } for idx in range(len(flow_stats[0]))]
+    flow_params = [
+        FlowParams(p=max(m["p"], MIN_MEASURED_P), rtt=m["rtt"],
+                   to_ratio=max(m["to"], MIN_MEASURED_TO),
+                   loss_model=MEASURED_LOSS_MODEL)
+        for m in measured]
+    return measured, flow_params
 
 
 def run_setting(setting: Setting,
@@ -214,9 +258,7 @@ def run_setting(setting: Setting,
                 send_buffer_pkts: int = 16,
                 run_model: bool = True,
                 max_workers: Optional[int] = None,
-                cache: Union[ResultCache, bool, None] = None,
-                counters: bool = False,
-                executor: Optional[ReplicationExecutor] = None) \
+                cache: Union[ResultCache, bool, None] = None) \
         -> ReplicatedRun:
     """Run one validation setting: N simulations + the model.
 
@@ -237,16 +279,14 @@ def run_setting(setting: Setting,
     float_taus = check_taus(taus)
     if profile is None:
         profile = scale_profile()
-    if executor is None:
-        executor = ReplicationExecutor(max_workers=max_workers)
+    executor = ReplicationExecutor(max_workers=max_workers)
     tel = telemetry.current()
     with tel.span("setting", label=setting.name, scheme=scheme,
                   profile=profile.name, runs=profile.runs,
                   taus=len(float_taus)):
         specs = [RunSpec(setting=setting, duration_s=profile.duration_s,
                          scheme=scheme, seed=seed0 + run,
-                         send_buffer_pkts=send_buffer_pkts,
-                         counters=counters)
+                         send_buffer_pkts=send_buffer_pkts)
                  for run in range(profile.runs)]
         resolved = resolve_cache(cache)
         records = fetch_records(specs, resolved, executor)
@@ -257,27 +297,8 @@ def run_setting(setting: Setting,
                 for tau in float_taus}
         per_tau = {tau: [lf for lf, _ in pairs]
                    for tau, pairs in late.items()}
-        stats_acc: List[List[Dict[str, Any]]] = [
-            rec["flow_stats"] for rec in records]
-
-        # Average measured flow parameters over the replications.
-        k = len(stats_acc[0])
-        measured: List[Dict[str, float]] = []
-        for idx in range(k):
-            p_mean = sum(s[idx]["loss_event_estimate"]
-                         for s in stats_acc) / profile.runs
-            rtt_mean = sum(s[idx]["mean_rtt"]
-                           for s in stats_acc) / profile.runs
-            to_mean = sum(s[idx]["timeout_ratio"]
-                          for s in stats_acc) / profile.runs
-            measured.append({"p": p_mean, "rtt": rtt_mean, "to": to_mean})
-
-        flow_params = [
-            FlowParams(p=max(m["p"], MIN_MEASURED_P),
-                       rtt=m["rtt"],
-                       to_ratio=max(m["to"], MIN_MEASURED_TO),
-                       loss_model=MEASURED_LOSS_MODEL)
-            for m in measured]
+        measured, flow_params = measured_model_inputs(
+            [rec["flow_stats"] for rec in records])
 
         estimates: Dict[float, LateFractionEstimate] = {}
         if run_model:
@@ -285,18 +306,8 @@ def run_setting(setting: Setting,
                                tau=tau, horizon_s=profile.model_horizon_s,
                                seed=seed0)
                      for tau in float_taus]
-            cached = [resolved.get_model(task) if resolved else None
-                      for task in tasks]
-            unsolved = [idx for idx, est in enumerate(cached)
-                        if est is None]
-            solved = executor.solve_models(
-                [tasks[idx] for idx in unsolved])
-            for idx, estimate in zip(unsolved, solved):
-                cached[idx] = estimate
-                if resolved:
-                    resolved.put_model(tasks[idx], estimate)
-            estimates = {tau: est for tau, est in zip(float_taus, cached)
-                         if est is not None}
+            estimates = dict(zip(
+                float_taus, fetch_estimates(tasks, resolved, executor)))
 
         points: List[TauPoint] = []
         for tau in float_taus:
@@ -315,6 +326,4 @@ def run_setting(setting: Setting,
         return ReplicatedRun(
             setting=setting, profile=profile, scheme=scheme,
             flow_params=flow_params, measured=measured, points=points,
-            per_run_late=per_tau,
-            per_run_counters=[rec.get("counters", {}) for rec in records]
-            if counters else [])
+            per_run_late=per_tau)

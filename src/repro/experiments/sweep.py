@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro import telemetry
 from repro.experiments.cache import ResultCache, resolve_cache
 from repro.experiments.parallel import ModelTask, ReplicationExecutor
-from repro.model.dmp_model import DmpModel, LateFractionEstimate
+from repro.experiments.runner import fetch_estimates
+from repro.model.dmp_model import DmpModel
 from repro.model.singlepath import SinglePathModel
 from repro.model.tcp_chain import FlowParams, TcpFlowChain
 
@@ -127,21 +128,11 @@ def fig8_curves(p: float = 0.02, to_ratio: float = 4.0,
     tel = telemetry.current()
     with tel.span("sweep.fig8", points=len(grid), ratios=len(ratios),
                   taus=len(taus)):
-        estimates: List[Optional[LateFractionEstimate]] = [
-            store.get_model(task) if store else None for task in tasks]
-        unsolved = [idx for idx, est in enumerate(estimates)
-                    if est is None]
-        solved = executor.solve_models(
-            [tasks[idx] for idx in unsolved])
-        for idx, estimate in zip(unsolved, solved):
-            estimates[idx] = estimate
-            if store:
-                store.put_model(tasks[idx], estimate)
+        estimates = fetch_estimates(tasks, store, executor)
 
     curves: Dict[float, List[Tuple[float, float]]] = {
         ratio: [] for ratio in ratios}
     for (ratio, tau), solution in zip(grid, estimates):
-        assert solution is not None  # every miss was solved above
         curves[ratio].append((tau, solution.late_fraction))
     return curves
 

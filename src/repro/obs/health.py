@@ -213,13 +213,6 @@ class LogHistogram:
                 f"buckets={len(self.buckets)}>")
 
 
-def hist_of(values: Sequence[float]) -> LogHistogram:
-    """Build a histogram from a value sequence in one call."""
-    out = LogHistogram()
-    out.record_many(values)
-    return out
-
-
 # ---------------------------------------------------------------------
 # Per-session rollup state
 # ---------------------------------------------------------------------

@@ -1,16 +1,13 @@
-"""Time-varying link capacity: outages and on/off modulation.
+"""Time-varying link capacity: on/off modulation.
 
 Link bandwidth is sampled at each serialisation start, so calling
 ``Link.set_bandwidth`` at scheduled times yields a time-varying path.
 :class:`OnOffLinkModulator` drives the square-wave pattern of the
 paper's Section 7.3 (periodic alternation between a nominal and a
-degraded rate); :class:`ScheduledLinkModulator` replays an arbitrary
-piecewise-constant bandwidth trace.
+degraded rate).
 """
 
 from __future__ import annotations
-
-from typing import List, Sequence, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
@@ -58,31 +55,3 @@ class OnOffLinkModulator:
         self.link.set_bandwidth(self.off_bandwidth_bps)
         self.transitions += 1
         self.sim.schedule(self.period - self.on_time, self._go_on)
-
-
-class ScheduledLinkModulator:
-    """Replay a piecewise-constant bandwidth trace onto a link.
-
-    ``schedule`` is a sequence of ``(time, bandwidth_bps)`` pairs with
-    strictly increasing times (relative to now); each entry switches
-    the link to that bandwidth at that time.
-    """
-
-    def __init__(self, sim: Simulator, link: Link,
-                 schedule: Sequence[Tuple[float, float]]) -> None:
-        last_time = -1.0
-        for when, bandwidth in schedule:
-            if when <= last_time:
-                raise ValueError("schedule times must increase")
-            if bandwidth <= 0:
-                raise ValueError("bandwidths must be positive")
-            last_time = when
-        self.sim = sim
-        self.link = link
-        self.applied: List[Tuple[float, float]] = []
-        for when, bandwidth in schedule:
-            sim.schedule(when, self._apply, bandwidth)
-
-    def _apply(self, bandwidth: float) -> None:
-        self.link.set_bandwidth(bandwidth)
-        self.applied.append((self.sim.now, bandwidth))

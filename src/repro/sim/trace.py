@@ -2,8 +2,10 @@
 
 The paper estimates per-flow loss rate, RTT and timeout value from
 tcpdump traces (Section 6).  :class:`PacketTrace` captures per-link
-events in the same spirit; :mod:`repro.experiments.measure` turns a
-trace into those per-flow estimates.
+events in the same spirit: :mod:`repro.experiments.measure` reads the
+video flows' loss correlation (Table 3) from it, and the test suite
+checks the sender counters that feed the model against estimates
+from it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Set, Tuple
 
 from repro.sim.packet import Packet
+
+#: ``(src, sport, dst, dport)`` of one unidirectional flow.
+FlowKey = Tuple[str, int, str, int]
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,7 @@ class TraceRecord:
     is_ack: bool
     is_retransmit: bool
 
-    def flow_key(self) -> Tuple[str, int, str, int]:
+    def flow_key(self) -> FlowKey:
         return (self.src, self.sport, self.dst, self.dport)
 
 
@@ -82,6 +87,6 @@ class PacketTrace:
                 out.append(rec)
         return out
 
-    def flows(self) -> Set[Tuple[str, int, str, int]]:
+    def flows(self) -> Set[FlowKey]:
         """Distinct unidirectional flow keys seen in the trace."""
         return {rec.flow_key() for rec in self.records}

@@ -21,8 +21,7 @@ from repro.verify.queries import (EngineMismatchError, EnvelopeResult,
                                   SchemeComparison, StarvationResult,
                                   compare_schemes, have_z3,
                                   max_late_envelope, max_starvation,
-                                  resolve_engine, small_specs,
-                                  spec_from_flows)
+                                  resolve_engine)
 from repro.verify.spec import PathBudget, VerifySpec
 
 __all__ = [
@@ -46,8 +45,6 @@ __all__ = [
     "max_starvation",
     "replay_trace",
     "resolve_engine",
-    "small_specs",
-    "spec_from_flows",
     "trace_to_jsonl",
     "write_trace_jsonl",
 ]

@@ -7,7 +7,6 @@ from repro.core.metrics import (
     late_fraction,
     playback_metrics,
     reordering_stats,
-    tau_curve,
 )
 
 
@@ -105,15 +104,6 @@ def test_playback_metrics_bundle():
     assert metrics.late_fraction == pytest.approx(0.5)
     # Packet 1 arrives after packet 2: one out-of-order arrival.
     assert metrics.out_of_order_packets == 1
-
-
-def test_tau_curve_matches_pointwise():
-    arrivals = [(i, i / 5 + 0.3) for i in range(25)]
-    curve = tau_curve(arrivals, mu=5, taus=[0.1, 0.5, 1.0])
-    assert [m.tau for m in curve] == [0.1, 0.5, 1.0]
-    for metrics in curve:
-        assert metrics.late_fraction == late_fraction(
-            arrivals, mu=5, tau=metrics.tau)
 
 
 def test_invalid_mu_rejected():

@@ -5,11 +5,7 @@ import pytest
 from repro.core.client import StreamClient
 from repro.core.server_queue import ServerQueue
 from repro.core.source import VideoSource
-from repro.core.streamers import (
-    DmpStreamer,
-    SinglePathStreamer,
-    StaticStreamer,
-)
+from repro.core.streamers import DmpStreamer, StaticStreamer
 from repro.sim.engine import Simulator
 from repro.sim.link import duplex_link
 from repro.sim.node import Node
@@ -107,7 +103,7 @@ def test_dmp_attach_requires_same_queue():
 
 def test_single_path_streamer_is_dmp_with_one_path():
     sim, conns, client = build_paths([1e6])
-    streamer = SinglePathStreamer(sim, conns[0])
+    streamer = DmpStreamer(sim, conns[:1])
     source = stream(sim, streamer, mu=50, duration=10)
     assert client.received == source.total_packets
     assert streamer.path_shares == [1.0]

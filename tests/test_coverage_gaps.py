@@ -63,7 +63,7 @@ def test_scale_profiles_ordering():
 
 
 def test_flow_estimate_dataclass_fields():
-    from repro.experiments.measure import FlowEstimate
+    from tests.trace_estimator import FlowEstimate
     estimate = FlowEstimate(flow=("a", 1, "b", 2), loss_rate=0.01,
                             retransmission_rate=0.02, mean_rtt=0.1,
                             timeout_ratio=2.0, segments=100)

@@ -3,12 +3,8 @@
 import pytest
 
 from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
-from repro.experiments.measure import (
-    data_records,
-    estimate_all_flows,
-    estimate_flow,
-)
 from repro.sim.trace import PacketTrace
+from tests.trace_estimator import data_records, estimate_flow
 
 
 from functools import lru_cache
@@ -79,7 +75,13 @@ def test_data_records_sorted_and_filtered():
 
 def test_estimate_all_flows_finds_background_too():
     session, result, trace = traced_session(seed=11)
-    estimates = estimate_all_flows(trace, min_segments=100)
+    segments = {}
+    for rec in trace:
+        if not rec.is_ack and rec.event in ("enqueue", "drop"):
+            segments[rec.flow_key()] = segments.get(rec.flow_key(), 0) + 1
+    estimates = [estimate_flow(trace, flow)
+                 for flow, count in sorted(segments.items())
+                 if count >= 100]
     # 2 video flows + 4 FTP flows at least.
     assert len(estimates) >= 6
 

@@ -1,176 +1,121 @@
-"""Tests for the config-driven scenario builder."""
-
-import json
+"""Tests for the two run builders: ``build_run`` and ``meanfield_spec``."""
 
 import pytest
 
-from repro.experiments.scenarios import (
-    ScenarioError,
-    build_scenario,
-    load_scenario,
-    run_scenario,
-    validate_scenario,
-)
+from repro.experiments.scenarios import build_run, meanfield_spec
+from repro.model.meanfield import solve_meanfield
+from repro.sim.topology import BottleneckSpec, PathConfig
 
-GOOD = {
-    "mu": 40,
-    "duration_s": 20,
-    "seed": 3,
-    "taus": [2, 4],
-    "paths": [
-        {"bandwidth_mbps": 2.0, "delay_ms": 5, "buffer_pkts": 40},
-        {"bandwidth_mbps": 2.0, "delay_ms": 5, "buffer_pkts": 40,
-         "ftp_flows": 1, "http_flows": 2},
-    ],
-}
+MU, DURATION_S, SEED = 40, 20, 3
+PATHS = [
+    PathConfig(bottleneck=BottleneckSpec(
+        bandwidth_bps=2e6, delay_s=0.005, buffer_pkts=40)),
+    PathConfig(bottleneck=BottleneckSpec(
+        bandwidth_bps=2e6, delay_s=0.005, buffer_pkts=40),
+        n_ftp=1, n_http=2),
+]
 
 
-def test_validate_good():
-    validate_scenario(GOOD)  # no raise
-
-
-def test_missing_required_key():
-    bad = dict(GOOD)
-    del bad["mu"]
-    with pytest.raises(ScenarioError, match="mu"):
-        validate_scenario(bad)
+def good_run(**options):
+    return build_run(MU, DURATION_S, PATHS, seed=SEED, **options)
 
 
 def test_unknown_key_rejected():
-    bad = dict(GOOD, colour="blue")
-    with pytest.raises(ScenarioError, match="unknown"):
-        validate_scenario(bad)
+    with pytest.raises(TypeError, match="colour"):
+        good_run(colour="blue")
 
 
 def test_bad_paths():
-    with pytest.raises(ScenarioError):
-        validate_scenario(dict(GOOD, paths=[]))
-    with pytest.raises(ScenarioError):
-        validate_scenario(dict(GOOD, paths=[{"delay_ms": 5}]))
-    with pytest.raises(ScenarioError):
-        validate_scenario(dict(
-            GOOD, paths=[{"bandwidth_mbps": -1}]))
-    with pytest.raises(ScenarioError):
-        validate_scenario(dict(
-            GOOD, paths=[{"bandwidth_mbps": 1, "wings": 2}]))
+    with pytest.raises(ValueError, match="path"):
+        build_run(MU, DURATION_S, [])
 
 
 def test_bad_values():
-    with pytest.raises(ScenarioError):
-        validate_scenario(dict(GOOD, mu=0))
-    with pytest.raises(ScenarioError):
-        validate_scenario(dict(GOOD, duration_s=0))
-    with pytest.raises(ScenarioError):
-        validate_scenario(dict(GOOD, taus=[-1]))
+    with pytest.raises(ValueError):
+        build_run(0, DURATION_S, PATHS)
+    with pytest.raises(ValueError):
+        build_run(MU, 0, PATHS)
 
 
-def test_build_scenario_wires_everything():
-    session = build_scenario(GOOD)
+def test_build_run_wires_everything():
+    session = good_run()
     assert session.mu == 40
     assert len(session.assemblies[0].connections) == 2
     assert session.scheme == "dmp"
 
 
 def test_unknown_queue_discipline_rejected():
-    with pytest.raises(ScenarioError, match="queue_discipline"):
-        validate_scenario(dict(GOOD, queue_discipline="codel"))
-    with pytest.raises(ScenarioError, match="queue_discipline"):
-        validate_scenario(dict(GOOD, queue_discipline=None))
+    with pytest.raises(ValueError, match="queue discipline"):
+        good_run(queue_discipline="codel")
+    with pytest.raises(ValueError, match="queue discipline"):
+        good_run(queue_discipline=None)
 
 
 def test_queue_discipline_reaches_the_bottleneck():
     from repro.sim.queueing import FQPIEQueue, PIEQueue
 
-    session = build_scenario(dict(GOOD, queue_discipline="pie"))
+    session = good_run(queue_discipline="pie")
     assert session.queue_discipline == "pie"
     for fwd, rev in session.topology.bottlenecks:
         assert isinstance(fwd.queue, PIEQueue)
         assert isinstance(rev.queue, PIEQueue)
-    session = build_scenario(dict(GOOD, queue_discipline="fq-pie"))
+    session = good_run(queue_discipline="fq-pie")
     assert isinstance(
         session.topology.bottlenecks[0][0].queue, FQPIEQueue)
     # The default stays the paper's drop-tail.
-    session = build_scenario(GOOD)
+    session = good_run()
     assert session.queue_discipline == "droptail"
 
 
-def test_run_scenario_summary():
-    summary = run_scenario(GOOD)
-    assert summary["total_packets"] == 800
-    assert summary["arrived_packets"] == 800
-    assert set(summary["late_fraction"]) == {"2", "4"}
-    assert len(summary["flows"]) == 2
-    assert sum(summary["path_shares"]) == pytest.approx(1.0)
-    # JSON-serialisable end to end.
-    json.dumps(summary)
+def test_build_run_session_summary():
+    (session,) = good_run().run().sessions
+    assert session.total_packets == 800
+    assert len(session.arrivals) == 800
+    assert len(session.flow_stats) == 2
+    assert sum(session.path_shares) == pytest.approx(1.0)
+    assert 0.0 <= session.metrics(2.0).late_fraction <= 1.0
 
 
-def test_run_scenario_static_scheme():
-    scenario = dict(GOOD, scheme="static")
-    summary = run_scenario(scenario)
-    assert summary["scheme"] == "static"
-
-
-def test_load_scenario_roundtrip(tmp_path):
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(GOOD))
-    loaded = load_scenario(str(path))
-    assert loaded["mu"] == 40
-
-
-def test_load_scenario_validates(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"mu": 40}))
-    with pytest.raises(ScenarioError):
-        load_scenario(str(path))
+def test_build_run_static_scheme():
+    assert good_run(scheme="static").run().scheme == "static"
 
 
 def test_scenario_reproducibility():
-    one = run_scenario(GOOD)
-    two = run_scenario(GOOD)
-    assert one == two
+    (one,) = good_run().run().sessions
+    (two,) = good_run().run().sessions
+    assert one.arrivals == two.arrivals
+    assert one.flow_stats == two.flow_stats
 
 
 # ---------------------------------------------------------------------
-# Mean-field backend scenarios
+# Mean-field specs
 # ---------------------------------------------------------------------
-MEANFIELD = {
-    "mu": 10,
-    "duration_s": 20,
-    "n_sessions": 200,
-    "backend": "meanfield",
-    "queue_discipline": "red",
-    "taus": [2, 6],
-    "paths": [
-        {"bandwidth_mbps": 18.0, "delay_ms": 40, "buffer_pkts": 400},
-        {"bandwidth_mbps": 18.0, "delay_ms": 40, "buffer_pkts": 400},
-    ],
-}
+MEANFIELD_PATHS = [PathConfig(bottleneck=BottleneckSpec(
+    bandwidth_bps=18e6, delay_s=0.040, buffer_pkts=400))] * 2
+
+
+def red_spec(**options):
+    return meanfield_spec(10.0, 20.0, MEANFIELD_PATHS, 200,
+                          queue_discipline="red", **options)
 
 
 def test_meanfield_scenario_runs_deterministically():
-    summary = run_scenario(MEANFIELD)
-    assert summary["backend"] == "meanfield"
-    assert summary["n_sessions"] == 200
-    assert set(summary["late_fraction"]) == {"2", "6"}
-    for population in summary["late_fraction"].values():
+    solution = solve_meanfield(red_spec())
+    for tau in (2.0, 6.0):
+        population = solution.population(tau)
         assert 0.0 <= population["mean"] <= 1.0
         assert population["mean"] == population["p99"]  # degenerate
-    assert run_scenario(MEANFIELD) == summary  # no RNG
+    assert solve_meanfield(red_spec()).population(6.0) == \
+        solution.population(6.0)  # no RNG
 
 
 def test_meanfield_scenario_validation():
-    for patch, match in (
-            ({"backend": "warp"}, "unknown backend"),
-            ({"n_sessions": 1}, "population model"),
-            ({"queue_discipline": "pie"}, "supports disciplines"),
-            ({"churn_rate": 0.5}, "synchronized"),
-            ({"scheme": "static"}, "DMP"),
-    ):
-        with pytest.raises(ScenarioError, match=match):
-            validate_scenario(dict(MEANFIELD, **patch))
-
-
-def test_builders_reject_meanfield_scenarios():
-    with pytest.raises(ScenarioError, match="run_scenario"):
-        build_scenario(MEANFIELD)
+    with pytest.raises(ValueError, match="population model"):
+        meanfield_spec(10.0, 20.0, MEANFIELD_PATHS, 1)
+    with pytest.raises(ValueError, match="supports disciplines"):
+        meanfield_spec(10.0, 20.0, MEANFIELD_PATHS, 200,
+                       queue_discipline="pie")
+    with pytest.raises(ValueError, match="synchronized"):
+        red_spec(churn_rate=0.5)
+    with pytest.raises(ValueError, match="DMP"):
+        red_spec(scheme="static")

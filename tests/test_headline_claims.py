@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments.sweep import mu_for_ratio, rtt_for_ratio
 from repro.model.dmp_model import DmpModel
-from repro.model.singlepath import static_late_fraction
+from repro.model.singlepath import SinglePathModel
 from repro.model.tcp_chain import FlowParams
 
 # The paper's Fig-8 operating point.
@@ -80,9 +80,10 @@ def test_claim_dmp_beats_static():
     f_dmp = DmpModel([params, params], mu=mu,
                      tau=tau).late_fraction_mc(
         horizon_s=15000, seed=3).late_fraction
-    f_static = static_late_fraction(
-        [params, params], mu=mu, tau=tau, horizon_s=15000,
-        seed=3).late_fraction
+    # Static over two homogeneous paths: two mu/2 sub-videos.
+    f_static = SinglePathModel(params, mu=mu / 2.0,
+                               tau=tau).late_fraction_mc(
+        horizon_s=15000, seed=3).late_fraction
     assert f_dmp <= f_static + 1e-9
 
 

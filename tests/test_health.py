@@ -18,7 +18,7 @@ from repro.obs.bus import EventBus
 from repro.obs.export import (health_table, html_dashboard,
                               prometheus_exposition,
                               validate_exposition)
-from repro.obs.health import HealthAggregator, SessionMeta, hist_of
+from repro.obs.health import HealthAggregator, LogHistogram, SessionMeta
 from repro.obs.recorder import Trigger
 from repro.obs.sampler import TimeSeriesSampler
 from repro.sim.topology import BottleneckSpec, PathConfig
@@ -271,8 +271,10 @@ class TestPaperTopologies:
             *([v for _, v in series]
               for series in sampler.series.values()))]
         assert max(totals) > 0
+        expected = LogHistogram()
+        expected.record_many(totals)
         assert aggregator.rollup()["hists"]["queue_occupancy"] == \
-            hist_of(totals).to_dict()
+            expected.to_dict()
 
     def test_stall_trigger_freezes_the_session_ring(
             self, paper_run, tmp_path):

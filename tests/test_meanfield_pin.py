@@ -1,29 +1,19 @@
-"""Pins on the two mean-field entry points: the JSON scenario and the CLI.
+"""Pins on the mean-field entry points: the spec builder and the CLI.
 
-Both entry points map a fan-in run onto one
-:class:`~repro.model.meanfield.MeanFieldSpec` (the first path supplies
-the bottleneck and FTP load; the path count is ``len(paths)``), so
-their outputs are pinned here with exact floats, and the specs they
-hand to the solver are checked equal on the Setting 2-2 paths.
+Both map a fan-in run onto one
+:class:`~repro.model.meanfield.MeanFieldSpec` through
+:func:`repro.experiments.scenarios.meanfield_spec` (the first path
+supplies the bottleneck and FTP load; the path count is
+``len(paths)``), so their outputs are pinned here with exact floats.
 """
 
-from repro.experiments import scenarios
 from repro.experiments.cli import main
-from repro.experiments.configs import CALIBRATED_CONFIGS
-from repro.experiments.scenarios import run_scenario
-from repro.model import meanfield
+from repro.experiments.scenarios import meanfield_spec
+from repro.model.meanfield import solve_meanfield
+from repro.sim.topology import BottleneckSpec, PathConfig
 
-SCENARIO = {
-    "name": "mf-pin",
-    "mu": 10,
-    "duration_s": 20,
-    "n_sessions": 200,
-    "backend": "meanfield",
-    "queue_discipline": "red",
-    "taus": [2, 6],
-    "paths": [{"bandwidth_mbps": 18.0, "delay_ms": 40,
-               "buffer_pkts": 400, "ftp_flows": 20}] * 2,
-}
+PATH = PathConfig(bottleneck=BottleneckSpec(
+    bandwidth_bps=18e6, delay_s=0.040, buffer_pkts=400), n_ftp=20)
 
 
 def _degenerate(value):
@@ -32,10 +22,7 @@ def _degenerate(value):
 
 
 EXPECTED_SUMMARY = {
-    "name": "mf-pin",
     "mu": 10.0,
-    "scheme": "dmp",
-    "backend": "meanfield",
     "n_sessions": 200,
     "queue_discipline": "red",
     "mean_drop_prob": 0.12068132033716125,
@@ -49,7 +36,18 @@ CLI_ARGS = ["campaign", "--backend", "meanfield", "--sessions", "100",
 
 
 def test_meanfield_scenario_summary_pinned():
-    assert run_scenario(SCENARIO) == EXPECTED_SUMMARY
+    spec = meanfield_spec(10.0, 20.0, [PATH, PATH], 200,
+                          queue_discipline="red")
+    solution = solve_meanfield(spec)
+    assert {
+        "mu": spec.mu,
+        "n_sessions": spec.n_sessions,
+        "queue_discipline": spec.queue_discipline,
+        "mean_drop_prob": solution.mean_drop_prob,
+        "mean_queue_pkts": solution.mean_queue_pkts,
+        "late_fraction": {f"{tau:g}": solution.population(tau)
+                          for tau in (2.0, 6.0)},
+    } == EXPECTED_SUMMARY
 
 
 def test_cli_meanfield_late_fraction_lines_pinned(capsys):
@@ -59,30 +57,3 @@ def test_cli_meanfield_late_fraction_lines_pinned(capsys):
                       "limit distribution is degenerate):")
     assert out[start + 1:start + 5] == [
         "  4s: 0.9920", "  6s: 0.9878", "  8s: 0.9837", "  10s: 0.9793"]
-
-
-def test_cli_and_scenario_build_equal_specs(monkeypatch, capsys):
-    """The CLI's ``--setting 2-2`` and a scenario over the same two
-    calibrated config-2 paths hand the solver equal specs."""
-    specs = []
-    solve = meanfield.solve_meanfield
-
-    def spy(spec):
-        specs.append(spec)
-        return solve(spec)
-
-    monkeypatch.setattr(meanfield, "solve_meanfield", spy)
-    monkeypatch.setattr(scenarios, "solve_meanfield", spy)
-    assert main(CLI_ARGS) == 0
-    config = CALIBRATED_CONFIGS[2]
-    path = {"bandwidth_mbps": config.bandwidth_mbps,
-            "delay_ms": config.delay_ms,
-            "buffer_pkts": config.buffer_pkts,
-            "ftp_flows": config.ftp_flows,
-            "http_flows": config.http_flows}
-    run_scenario({"mu": 50, "duration_s": 30, "n_sessions": 100,
-                  "backend": "meanfield", "paths": [path, path]})
-    cli_spec, scenario_spec = specs
-    assert cli_spec == scenario_spec
-    assert cli_spec.paths_per_session == 2
-    assert cli_spec.n_background == config.ftp_flows

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from repro.experiments import sweep
 from repro.model import mc_kernel
 from repro.model.dmp_model import DmpModel
 from repro.model.mc_kernel import (
@@ -35,7 +36,7 @@ from repro.model.mc_kernel import (
     compiled_model,
     expected_excess_array,
 )
-from repro.model.singlepath import SinglePathModel, static_late_fraction
+from repro.model.singlepath import SinglePathModel
 from repro.model.tcp_chain import FlowParams, TcpFlowChain
 from tests import mc_reference
 from tests.exact_oracle import (
@@ -202,14 +203,16 @@ class TestStationaryEquivalence:
             assert abs(share - sigma / sum(sigmas)) <= 0.01
 
     def test_static_scheme_uses_kernel(self):
-        est = static_late_fraction([FAST, FAST], mu=16.0, tau=1.0,
-                                   horizon_s=4000, seed=2)
-        assert est.method == "static-mc"
-        # Equal weights: both halves are the same mu/2 single-path
-        # solve, so the combination is exactly that solve.
-        half = SinglePathModel(FAST, mu=8.0, tau=1.0).late_fraction_mc(
-            horizon_s=4000, seed=2)
-        assert est.late_fraction == pytest.approx(half.late_fraction)
+        # Fig 11 evaluates the static scheme on two homogeneous paths
+        # as two mu/2 single-path sub-videos, each a kernel solve.
+        taus = (1.0, 2.0, 4.0, 8.0)
+        half = SinglePathModel(FAST, mu=8.0, tau=1.0)
+        assert half.late_fraction_mc(horizon_s=4000, seed=2).method \
+            == "mc"
+        required = sweep._required_static(FAST, 16.0, 1e-2, 4000, 2, taus)
+        assert required == half.required_startup_delay(
+            threshold=1e-2, taus=taus, horizon_s=4000, seed=2)
+        assert required == 8.0
 
     def test_vectorized_is_deterministic(self):
         model = DmpModel([FAST, FAST], mu=18, tau=1.0)

@@ -11,7 +11,7 @@ from repro.model.fluid import (
     late_fraction_from_trace,
     single_path_scenario,
 )
-from repro.model.singlepath import SinglePathModel, static_late_fraction
+from repro.model.singlepath import SinglePathModel
 from repro.model.tcp_chain import FlowParams
 
 TYPICAL = FlowParams(p=0.02, rtt=0.15, to_ratio=2.0)
@@ -54,34 +54,16 @@ def test_single_path_needs_higher_ratio_than_dmp():
 # ------------------------------------------------------------------
 # Static-streaming evaluation (Section 7.4 reduction)
 # ------------------------------------------------------------------
-def test_static_evaluation_basics():
-    est = static_late_fraction([TYPICAL, TYPICAL], mu=30, tau=4.0,
-                               horizon_s=5000, seed=1)
-    assert 0.0 <= est.late_fraction <= 1.0
-    assert est.method == "static-mc"
-    assert est.path_shares == (0.5, 0.5)
-
-
-def test_static_validation():
-    with pytest.raises(ValueError):
-        static_late_fraction([], mu=30, tau=4.0)
-    with pytest.raises(ValueError):
-        static_late_fraction([TYPICAL, TYPICAL], mu=30, tau=4.0,
-                             weights=[1.0])
-    with pytest.raises(ValueError):
-        static_late_fraction([TYPICAL, TYPICAL], mu=30, tau=4.0,
-                             weights=[1.0, 0.0])
-
-
 def test_dmp_no_worse_than_static_homogeneous():
     """Fig. 11's message: DMP needs less buffer than static."""
     from repro.model.dmp_model import DmpModel
     mu, tau = 30.0, 4.0
     dmp = DmpModel([TYPICAL, TYPICAL], mu=mu, tau=tau)
     f_dmp = dmp.late_fraction_mc(horizon_s=20000, seed=5).late_fraction
-    f_static = static_late_fraction(
-        [TYPICAL, TYPICAL], mu=mu, tau=tau, horizon_s=20000,
-        seed=5).late_fraction
+    # Static over two homogeneous paths: two mu/2 sub-videos.
+    f_static = SinglePathModel(TYPICAL, mu=mu / 2.0,
+                               tau=tau).late_fraction_mc(
+        horizon_s=20000, seed=5).late_fraction
     assert f_dmp <= f_static + 1e-6
 
 

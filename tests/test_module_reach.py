@@ -1,4 +1,5 @@
-"""Every module under ``src/repro`` is reached from outside the tests.
+"""Every module and every top-level definition under ``src/repro`` is
+reached from outside the tests.
 
 A module earns its place when a non-``__init__`` file under ``src/``,
 ``benchmarks/`` or ``tools/`` imports it or uses one of its names;
@@ -6,14 +7,42 @@ A module earns its place when a non-``__init__`` file under ``src/``,
 not callers.  ``from <package> import name`` and ``<package>.name``
 resolve through the package ``__init__`` re-exports, so a name a
 package re-exports but nobody uses reaches nothing.
+
+A top-level function or class earns its place when a root names it,
+directly or through the body of a definition that is itself reached.
+The roots are ``repro.experiments.cli``, every file under
+``benchmarks/`` and ``tools/``, and the module-level code of ``src/``
+(decorators, default values and base classes included); ``__all__``
+and import statements are not.  Matching is by name, so a collision
+can hide a dead definition but never flags a live one.  Methods are
+not counted themselves, but a method's body counts only once its name
+is reached (dunders count with their class).  :data:`ALLOWLIST` holds
+the few definitions kept without a caller, each with its reason.
 """
 
 import ast
 import os
 
+import pytest
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CALLER_ROOTS = ("src", "benchmarks", "tools")
 ENTRY_POINT = "repro.experiments.cli"
+
+#: Top-level definitions kept without a caller -> why.
+ALLOWLIST = {
+    "validate_jsonl": "validator of the JSONL event log the CLI writes",
+    "validate_exposition": "validator of the exposition the CLI writes",
+    "iter_jsonl": "reader of the JSONL event log the CLI writes",
+    "read_telemetry_jsonl": "reader of the telemetry JSONL the CLI "
+                            "writes",
+    "load_trace_jsonl": "reader of the verify witness JSONL the CLI "
+                        "writes",
+    "VirtualClock": "test fake: deterministic telemetry clock",
+    "RecordingSink": "test fake: in-memory probe event sink",
+    "glitch_statistics": "backs the public SessionSummary.glitches and "
+                         "is the stall reference of ROADMAP item 6",
+}
 
 
 def _parse(path):
@@ -149,5 +178,190 @@ def unreached_modules(root=REPO):
     return _Reach(root).unreached()
 
 
+# ---------------------------------------------------------------------
+# Definitions
+# ---------------------------------------------------------------------
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names_in(nodes):
+    """Every name the nodes mention: identifiers, attributes and
+    names imported inside them."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _top_level(body):
+    """Statements at module level, through ``if``/``try`` blocks."""
+    for node in body:
+        if isinstance(node, ast.If):
+            yield from _top_level(node.body + node.orelse)
+        elif isinstance(node, ast.Try):
+            yield from _top_level(
+                node.body + node.orelse + node.finalbody
+                + [stmt for handler in node.handlers
+                   for stmt in handler.body])
+        else:
+            yield node
+
+
+def _is_all(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [
+        getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == "__all__"
+               for t in targets)
+
+
+def _module_level_roots(node):
+    """What a definition's own statement evaluates at import."""
+    roots = list(node.decorator_list)
+    if isinstance(node, ast.ClassDef):
+        roots += node.bases + [kw.value for kw in node.keywords]
+    else:
+        roots += node.args.defaults + [
+            d for d in node.args.kw_defaults if d is not None]
+    return roots
+
+
+def _body(node):
+    """(statement, gate) pairs of a definition's body.  A method counts
+    once its name is reached (``gate``); dunders and every other
+    statement count with the definition (``None``)."""
+    for statement in node.body:
+        name = getattr(statement, "name", "")
+        if isinstance(node, ast.ClassDef) \
+                and isinstance(statement, _DEFINITIONS[:2]) \
+                and not (name.startswith("__") and name.endswith("__")):
+            yield statement, name
+        else:
+            yield statement, None
+
+
+def definition_census(root=REPO, allowlist=ALLOWLIST):
+    """(unreached, stale) top-level definitions under ``root/src/repro``.
+
+    ``unreached`` lists ``module:name`` of every function or class no
+    root reaches once the allowlisted ones count as reached;
+    ``stale`` lists the allowlist entries that name no definition or
+    that a root reaches anyway.
+    """
+    definitions = {}  # name -> [(module, node)]
+    aliases = {}  # local name -> imported names it stands for
+    roots = set()
+    for module, path in _source_modules(os.path.join(root, "src")).items():
+        tree = _parse(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.asname:
+                        aliases.setdefault(alias.asname, set()).add(
+                            alias.name)
+        for node in _top_level(tree.body):
+            if isinstance(node, _DEFINITIONS):
+                definitions.setdefault(node.name, []).append((module, node))
+                roots |= _names_in(_module_level_roots(node))
+                if module == ENTRY_POINT:
+                    roots.add(node.name)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and not _is_all(node):
+                roots |= _names_in([node])
+    for top in CALLER_ROOTS[1:]:
+        for path in _python_files(os.path.join(root, top)):
+            roots |= _names_in([_parse(path)])
+
+    def reach(seeds):
+        reached, frontier = set(), set(seeds)
+        waiting = {}  # method name -> its bodies in reached classes
+        while frontier:
+            name = frontier.pop()
+            if name in reached:
+                continue
+            reached.add(name)
+            frontier |= aliases.get(name, set())
+            frontier |= _names_in(waiting.pop(name, []))
+            for _, node in definitions.get(name, ()):
+                for statement, gate in _body(node):
+                    if gate is None or gate in reached:
+                        frontier |= _names_in([statement])
+                    else:
+                        waiting.setdefault(gate, []).append(statement)
+        return reached
+
+    from_roots = reach(roots)
+    stale = sorted(name for name in allowlist
+                   if name not in definitions or name in from_roots)
+    reached = reach(roots | set(allowlist))
+    unreached = sorted(f"{module}:{name}"
+                       for name, found in definitions.items()
+                       if name not in reached for module, _ in found)
+    return unreached, stale
+
+
 def test_every_src_module_has_a_caller():
     assert unreached_modules() == []
+
+
+def test_every_src_definition_has_a_caller():
+    unreached, stale = definition_census()
+    assert unreached == []
+    assert stale == []
+
+
+def test_allowlist_reasons_are_one_line():
+    for name, reason in ALLOWLIST.items():
+        assert reason.strip() and "\n" not in reason, name
+
+
+def _write(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+@pytest.fixture
+def synthetic_tree(tmp_path):
+    """A repo whose CLI calls one helper; ``orphan`` has no caller."""
+    _write(tmp_path / "src/repro/experiments/cli.py",
+           "from repro.lib import live\n\n"
+           "def main():\n    return live()\n")
+    _write(tmp_path / "src/repro/lib.py",
+           "TABLE = {'kind': 'x'}\n\n"
+           "def live():\n    return _helper()\n\n"
+           "def _helper():\n    return TABLE\n\n"
+           "def orphan():\n    return 1\n\n"
+           "def kept():\n    return _only_kept()\n\n"
+           "def _only_kept():\n    return 2\n\n"
+           "__all__ = ['orphan']\n")
+    _write(tmp_path / "benchmarks/bench.py", "")
+    _write(tmp_path / "tools/tool.py", "")
+    return str(tmp_path)
+
+
+def test_census_flags_exactly_the_dead_function(synthetic_tree):
+    unreached, stale = definition_census(
+        synthetic_tree, allowlist={"kept": "reason"})
+    # ``__all__`` is not a root; ``_helper`` is reached through
+    # ``live`` and ``_only_kept`` through the allowlisted ``kept``.
+    assert unreached == ["repro.lib:orphan"]
+    assert stale == []
+    unreached, _ = definition_census(
+        synthetic_tree, allowlist={"kept": "r", "orphan": "r"})
+    assert unreached == []
+
+
+def test_census_reports_a_stale_allowlist(synthetic_tree):
+    # Missing: the name is defined nowhere.
+    _, stale = definition_census(synthetic_tree,
+                                 allowlist={"kept": "r", "gone": "r"})
+    assert stale == ["gone"]
+    # Reached: a root calls it after all.
+    _, stale = definition_census(synthetic_tree,
+                                 allowlist={"kept": "r", "live": "r"})
+    assert stale == ["live"]

@@ -3,31 +3,23 @@
 Covers the campaign stack end to end: packet-pool recycling semantics,
 FIFO bottleneck service, the fan-in topology under every queue
 discipline, population metrics, the experiments-layer plumb-through
-(run records, scenarios, CLI, the mean-field spec builder) and the
+(run records, the run builder, CLI, the mean-field spec builder) and the
 hypothesis-backed invariants — packet conservation across sessions,
 per-(session, path) FIFO delivery, and bit-identical seeded reruns.
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.campaign import MultiSessionCampaign
+from repro.core.campaign import (CampaignResult, MultiSessionCampaign,
+                                 SessionSummary)
 from repro.core.metrics import quantile
 from repro.experiments.configs import ALL_SETTINGS
 from repro.experiments.parallel import RunSpec
-from repro.experiments.scenarios import (
-    ScenarioError,
-    build_run,
-    build_scenario,
-    meanfield_spec,
-    run_scenario,
-    validate_scenario,
-)
+from repro.experiments.scenarios import build_run, meanfield_spec
 from repro.sim.pool import PacketPool
 from repro.sim.queueing import QUEUE_DISCIPLINES
-from repro.sim.topology import BottleneckSpec
+from repro.sim.topology import BottleneckSpec, PathConfig
 
 SPEC = BottleneckSpec(bandwidth_bps=8e6, delay_s=0.01,
                       buffer_pkts=80)
@@ -183,6 +175,38 @@ class TestCampaign:
         assert pop["min"] <= pop["p50"] <= pop["p95"] \
             <= pop["p99"] <= pop["max"]
 
+    @staticmethod
+    def _population(missing_counts, total=20):
+        """A 1-pkt/s result whose session i misses
+        ``missing_counts[i]`` of ``total`` packets (so is late on
+        exactly those), the rest arriving at t = 0."""
+        sessions = [SessionSummary(
+            index=i, label=f"s{i}.", start_at=0.0, mu=1.0,
+            total_packets=total, received=total - missing,
+            arrivals=[(n, 0.0) for n in range(total - missing)],
+            flow_stats=[], path_shares=[])
+            for i, missing in enumerate(missing_counts)]
+        return CampaignResult(
+            n_sessions=len(sessions), mu=1.0, duration_s=float(total),
+            scheme="dmp", queue_discipline="droptail",
+            sessions=sessions, bottleneck_drop_fraction=0.0,
+            events_processed=0)
+
+    def test_population_percentiles_are_exact_at_any_size(self):
+        # 200 equal sessions: every percentile is the common value,
+        # never a histogram bucket floor below it.
+        pop = self._population([1] * 200).population(1.0)
+        assert pop["min"] == pop["max"] == 0.05
+        assert pop["p50"] == pop["p95"] == pop["p99"] == pop["min"]
+        for counts in ([(7 * i) % 20 for i in range(200)],
+                       [3] * 150 + [4] * 50):
+            result = self._population(counts)
+            pop = result.population(1.0)
+            fractions = result.late_fractions(1.0)
+            for name, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+                assert pop[name] == quantile(fractions, q)
+                assert pop["min"] <= pop[name] <= pop["max"]
+
     def test_session_labels_prefix_probe_paths(self):
         campaign = small_campaign(n_sessions=2)
         paths = set()
@@ -227,49 +251,20 @@ class TestExperiments:
 
 
 class TestScenarios:
-    SCENARIO = {
-        "mu": 15, "duration_s": 6, "seed": 4, "n_sessions": 3,
-        "churn_rate": 0.5, "queue_discipline": "red",
-        "taus": [2.0],
-        "paths": [{"bandwidth_mbps": 8.0, "delay_ms": 10,
-                   "buffer_pkts": 80}] * 2,
-    }
+    PATHS = [PathConfig(bottleneck=BottleneckSpec(
+        bandwidth_bps=8e6, delay_s=0.010, buffer_pkts=80))] * 2
 
-    def test_validate_and_build(self):
-        validate_scenario(self.SCENARIO)
-        campaign = build_scenario(self.SCENARIO)
+    def test_build_run_fans_in_and_single_is_paper_topology(self):
+        campaign = build_run(15, 6, self.PATHS, n_sessions=3, seed=4,
+                             churn_rate=0.5, queue_discipline="red")
         assert campaign.n_sessions == 3
         assert campaign.queue_discipline == "red"
         # One session is the paper topology, not a 1-member fan-in.
-        single = build_scenario(dict(self.SCENARIO, n_sessions=1))
+        single = build_run(15, 6, self.PATHS, seed=4,
+                           queue_discipline="red")
         assert single.n_sessions == 1
         assert [a.label for a in single.assemblies] == [""]
         assert len(single.topology.bottlenecks) == 2
-
-    def test_run_scenario_dispatches_to_campaign(self):
-        summary = run_scenario(self.SCENARIO)
-        assert summary["n_sessions"] == 3
-        assert len(summary["sessions"]) == 3
-        pop = summary["late_fraction"]["2"]
-        assert {"mean", "p50", "p95", "p99",
-                "per_session"} <= set(pop)
-        json.dumps(summary)  # JSON-serialisable end to end
-
-    def test_rejects_bad_campaign_scenarios(self):
-        bad = dict(self.SCENARIO, n_sessions=0)
-        with pytest.raises(ScenarioError):
-            validate_scenario(bad)
-        bad = dict(self.SCENARIO, shared_bottleneck=True)
-        with pytest.raises(ScenarioError):
-            validate_scenario(bad)
-        # The mean-field ODE counts packets at the video segment size,
-        # so a segment size it would silently ignore is rejected.
-        meanfield = dict(self.SCENARIO, backend="meanfield",
-                         churn_rate=0.0)
-        validate_scenario(meanfield)
-        bad = dict(meanfield, segment_bytes=500)
-        with pytest.raises(ScenarioError, match="segment"):
-            validate_scenario(bad)
 
 
 class TestCli:

@@ -15,7 +15,6 @@ import json
 import pytest
 
 from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
-from repro.experiments.measure import estimate_flow
 from repro.obs import (
     NAMES,
     EventBus,
@@ -26,6 +25,7 @@ from repro.obs import (
     validate_jsonl,
 )
 from repro.sim.engine import Simulator
+from tests.trace_estimator import estimate_flow
 
 # ---------------------------------------------------------------------
 # Goldens captured on the pre-refactor code (see module docstring).
@@ -585,43 +585,3 @@ def test_shared_bottleneck_mismatched_specs_rejected():
     with pytest.raises(ValueError, match="one common spec"):
         MultiSessionCampaign(mu=30, duration_s=5.0, paths=paths,
                              shared_bottleneck=True, seed=1)
-
-
-def test_cache_counters_records(tmp_path):
-    from repro.experiments.cache import ResultCache
-    from repro.experiments.configs import ALL_SETTINGS
-    from repro.experiments.parallel import RunSpec
-
-    cache = ResultCache(str(tmp_path))
-    base = dict(setting=ALL_SETTINGS["2-2"], duration_s=5.0,
-                scheme="dmp", seed=1, send_buffer_pkts=16)
-    plain = RunSpec(**base)
-    instrumented = RunSpec(**base, counters=True)
-    record = {"flow_stats": [{}],
-              "sessions": [{"total_packets": 1, "arrivals": [[0, 0.1]]}]}
-
-    cache.put_run(plain, record)
-    assert cache.get_run(plain) is not None
-    # A counter-less record must not satisfy an instrumented request.
-    assert cache.get_run(instrumented) is None
-    cache.put_run(instrumented,
-                  dict(record, counters={"link.send": 42}))
-    hit = cache.get_run(instrumented)
-    assert hit is not None and hit["counters"] == {"link.send": 42}
-    # ... and the instrumented record serves plain requests too.
-    assert cache.get_run(plain)["counters"] == {"link.send": 42}
-
-
-def test_counters_survive_simulate_run():
-    from repro.experiments.configs import ALL_SETTINGS
-    from repro.experiments.parallel import RunSpec, simulate_run
-
-    spec = RunSpec(setting=ALL_SETTINGS["2-2"], duration_s=5.0,
-                   scheme="dmp", seed=1, send_buffer_pkts=16,
-                   counters=True)
-    record = simulate_run(spec)
-    assert isinstance(record["counters"], dict)
-    assert record["counters"]["source.generate"] == 250  # 5 s * mu=50
-    plain = RunSpec(setting=ALL_SETTINGS["2-2"], duration_s=5.0,
-                    scheme="dmp", seed=1, send_buffer_pkts=16)
-    assert "counters" not in simulate_run(plain)

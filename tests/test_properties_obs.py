@@ -24,8 +24,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.metrics import quantile
 from repro.obs.health import (LogHistogram, SUBBUCKETS, bucket_index,
-                              bucket_lo, hist_of)
+                              bucket_lo)
 from repro.obs.recorder import FlightRecorder, Trigger
+
+
+def hist_of(values):
+    """A histogram holding ``values``."""
+    hist = LogHistogram()
+    hist.record_many(values)
+    return hist
 
 # ---------------------------------------------------------------------
 # Strategies

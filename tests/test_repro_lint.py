@@ -34,6 +34,7 @@ STRICT_PATHS = ["src/repro/sim", "src/repro/obs",
                 "src/repro/experiments/sweep.py",
                 "src/repro/experiments/runner.py",
                 "src/repro/experiments/scenarios.py",
+                "src/repro/experiments/measure.py",
                 "src/repro/model/singlepath.py",
                 "src/repro/model/fluid.py",
                 "src/repro/model/meanfield.py",
@@ -45,6 +46,7 @@ STRICT_PATHS = ["src/repro/sim", "src/repro/obs",
                 "src/repro/core/client.py",
                 "src/repro/core/assembly.py",
                 "src/repro/core/campaign.py",
+                "src/repro/core/streamers.py",
                 "src/repro/tcp/reno.py",
                 "src/repro/tcp/receiver.py"]
 

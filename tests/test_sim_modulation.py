@@ -4,11 +4,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
-from repro.sim.modulation import (
-    OFF_BANDWIDTH_BPS,
-    OnOffLinkModulator,
-    ScheduledLinkModulator,
-)
+from repro.sim.modulation import OFF_BANDWIDTH_BPS, OnOffLinkModulator
 from repro.sim.node import Node
 from repro.sim.packet import Packet
 
@@ -85,36 +81,13 @@ def test_onoff_throughput_roughly_halved():
     assert 2000 < received < 4500
 
 
-def test_scheduled_modulator_applies_in_order():
-    sim = Simulator()
-    a, link, sink = build_link(sim)
-    mod = ScheduledLinkModulator(
-        sim, link, [(1.0, 5e5), (2.0, 2e5), (4.0, 1e6)])
-    sim.run(until=1.5)
-    assert link.bandwidth_bps == 5e5
-    sim.run(until=2.5)
-    assert link.bandwidth_bps == 2e5
-    sim.run(until=5.0)
-    assert link.bandwidth_bps == 1e6
-    assert [b for _, b in mod.applied] == [5e5, 2e5, 1e6]
-
-
-def test_scheduled_modulator_validation():
-    sim = Simulator()
-    a, link, sink = build_link(sim)
-    with pytest.raises(ValueError):
-        ScheduledLinkModulator(sim, link, [(2.0, 1e6), (1.0, 1e6)])
-    with pytest.raises(ValueError):
-        ScheduledLinkModulator(sim, link, [(1.0, 0.0)])
-
-
 def test_in_flight_packet_unaffected_by_later_switch():
     """Bandwidth is sampled at serialisation start: a packet already
     being transmitted finishes at the old rate."""
     sim = Simulator()
     a, link, sink = build_link(sim, bandwidth=8e3)  # 1 s per 1000 B
     a.send(Packet("a", "b", 1, 1, 1000))
-    ScheduledLinkModulator(sim, link, [(0.5, 8e6)])
+    sim.schedule(0.5, link.set_bandwidth, 8e6)
     sim.run()
     # Delivered at t = 1.0 (old rate), not 0.5 + epsilon.
     assert sim.now == pytest.approx(1.0)

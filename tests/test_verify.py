@@ -37,14 +37,13 @@ from repro.verify import (
     max_starvation,
     replay_trace,
     resolve_engine,
-    small_specs,
-    spec_from_flows,
     write_trace_jsonl,
 )
 from repro.verify.exhaustive import (_client_caps, _expand,
                                      _initial_state,
                                      max_late_exhaustive)
 from repro.verify.spec import largest_remainder_shares
+from tests.verify_specs import small_specs, spec_from_flows
 
 
 # ---------------------------------------------------------------------

@@ -24,8 +24,8 @@ from repro.experiments.configs import Setting  # noqa: E402
 from repro.experiments.runner import (ScaleProfile,  # noqa: E402
                                       run_setting)
 from repro.verify import (compare_schemes, max_late_envelope,  # noqa: E402
-                          max_starvation, resolve_engine,
-                          small_specs, spec_from_flows)
+                          max_starvation, resolve_engine)
+from tests.verify_specs import small_specs, spec_from_flows  # noqa: E402
 
 # -- engine agreement -------------------------------------------------
 
