@@ -98,7 +98,6 @@ if TYPE_CHECKING:  # pragma: no cover
 CODE_VERSION = 13
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-ENV_CACHE = "REPRO_CACHE"
 
 
 def default_directory() -> str:
@@ -392,7 +391,7 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------
-# Process-wide default (wired by the CLI and benchmarks/conftest.py)
+# Process-wide default (wired by the CLI)
 # ---------------------------------------------------------------------
 _default: Dict[str, Any] = {"enabled": None, "directory": None,
                             "instance": None}
@@ -402,8 +401,7 @@ def configure(enabled: Optional[bool] = True,
               directory: Optional[str] = None) -> None:
     """Set the process-wide default cache used when callers pass None.
 
-    ``enabled=None`` restores the initial behaviour: caching is on only
-    when ``$REPRO_CACHE`` is a truthy value.
+    ``enabled=None`` restores the initial behaviour: caching is off.
     """
     _default["enabled"] = enabled
     _default["directory"] = directory
@@ -420,11 +418,7 @@ def _configured_instance() -> ResultCache:
 
 def default_cache() -> Optional[ResultCache]:
     """The configured default cache instance (None when disabled)."""
-    enabled = _default["enabled"]
-    if enabled is None:
-        enabled = os.environ.get(ENV_CACHE, "0").lower() \
-            not in ("0", "", "false", "no")
-    return _configured_instance() if enabled else None
+    return _configured_instance() if _default["enabled"] else None
 
 
 def resolve_cache(cache: Union[ResultCache, bool, None]) \

@@ -5,7 +5,7 @@ Regenerate any table or figure of the paper without pytest:
     python -m repro.experiments.cli list
     python -m repro.experiments.cli fig8
     python -m repro.experiments.cli table2 --scale full -o out/
-    python -m repro.experiments.cli all
+    python -m repro.experiments.cli all --workers 2 -o benchmarks/out
 
 Run one fully instrumented session (the observability bus):
 
@@ -540,8 +540,14 @@ def _dispatch(parser, args) -> int:
                                        f"{cache.misses} misses")
                         print(status + "]\n")
                         if args.output_dir:
-                            path = save_output(f"{name}.txt", text,
-                                               directory=args.output_dir)
+                            # No time, host or worker count: the saved
+                            # artefact stays bit-stable across runs.
+                            header = (f"# {name} profile={profile.name} "
+                                      f"CODE_VERSION="
+                                      f"{result_cache.CODE_VERSION}\n")
+                            path = save_output(args.output_dir,
+                                               f"{name}.txt",
+                                               header + text)
                             print(f"[saved to {path}]\n")
             finally:
                 # Closing the writer flushes metrics even when a

@@ -261,7 +261,7 @@ class ReplicationExecutor:
 
 
 # ---------------------------------------------------------------------
-# Process-wide default (wired by the CLI and benchmarks/conftest.py)
+# Process-wide default (wired by the CLI)
 # ---------------------------------------------------------------------
 _default: Dict[str, Optional[int]] = {"max_workers": None}
 

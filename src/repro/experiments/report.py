@@ -1,18 +1,14 @@
 """Plain-text rendering of the reproduced tables and figures.
 
-Every benchmark renders its result through these helpers and drops the
-output under ``benchmarks/out/`` so EXPERIMENTS.md can quote real runs.
+Every builder renders its result through these helpers; ``cli <key>
+-o benchmarks/out`` saves it there so EXPERIMENTS.md can quote real
+runs.
 """
 
 from __future__ import annotations
 
 import os
 from typing import Iterable, List, Optional, Sequence
-
-DEFAULT_OUTPUT_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))),
-    "benchmarks", "out")
 
 
 def render_table(headers: Sequence[str], rows: Iterable[Sequence],
@@ -64,10 +60,8 @@ def render_series(title: str, series: dict,
     return "\n".join(lines) + "\n"
 
 
-def save_output(name: str, text: str,
-                directory: Optional[str] = None) -> str:
-    """Write a rendered artefact; returns the path."""
-    directory = directory or DEFAULT_OUTPUT_DIR
+def save_output(directory: str, name: str, text: str) -> str:
+    """Write a rendered artefact under ``directory``; returns the path."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, name)
     with open(path, "w") as handle:

@@ -4,10 +4,11 @@ Quick start::
 
     from repro import telemetry
     from repro.experiments.figures import build_fig8
+    from repro.experiments.runner import scale_profile
 
     with telemetry.session() as tel:
         with tel.span("campaign", label="fig8"):
-            build_fig8()
+            build_fig8(scale_profile("quick"))
     print(telemetry.summary(tel))
 
 Library code never starts sessions; it asks for the ambient one::

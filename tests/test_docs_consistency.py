@@ -1,9 +1,9 @@
 """Documentation consistency guards.
 
 These tests keep DESIGN.md / EXPERIMENTS.md / README.md honest as the
-benchmark suite and examples evolve: every bench module must be
-documented, every documented example must exist, and the CLI must
-expose every figure builder.
+builders and examples evolve: every builder's artefact is committed
+under ``benchmarks/out/`` and named in the docs, and every documented
+example must exist.
 """
 
 import os
@@ -17,17 +17,17 @@ def read(name: str) -> str:
         return handle.read()
 
 
-def test_every_bench_module_is_documented():
-    bench_dir = os.path.join(REPO, "benchmarks")
-    modules = sorted(f for f in os.listdir(bench_dir)
-                     if f.startswith("bench_") and f.endswith(".py"))
-    assert modules, "no benchmark modules found"
-    docs = read("DESIGN.md") + read("EXPERIMENTS.md") \
-        + read(os.path.join("benchmarks", "README.md"))
-    for module in modules:
-        stem = module[:-3]
-        assert stem in docs or module in docs, \
-            f"{module} not mentioned in the docs"
+def test_every_builder_has_a_committed_documented_artefact():
+    from repro.experiments.figures import BUILDERS
+    out_dir = os.path.join(REPO, "benchmarks", "out")
+    stems = {name[:-4] for name in os.listdir(out_dir)
+             if name.endswith(".txt")}
+    # No orphan artefact and no builder whose output is not committed.
+    assert stems == set(BUILDERS)
+    for doc in ("EXPERIMENTS.md", "DESIGN.md"):
+        text = read(doc)
+        for key in BUILDERS:
+            assert f"cli {key}`" in text, f"{doc} does not name {key}"
 
 
 def test_every_readme_example_exists():
@@ -43,16 +43,6 @@ def test_every_example_is_in_readme():
     for name in os.listdir(examples_dir):
         if name.endswith(".py"):
             assert f"examples/{name}" in readme, name
-
-
-def test_cli_exposes_every_builder():
-    from repro.experiments.figures import BUILDERS
-    design = read("DESIGN.md")
-    for name in BUILDERS:
-        # Each CLI target corresponds to a documented experiment.
-        assert name.replace("fig", "Fig") or name  # non-empty
-    # And the experiment index mentions the cli entry point.
-    assert "repro.experiments.cli" in design
 
 
 def test_experiments_md_covers_all_paper_artifacts():

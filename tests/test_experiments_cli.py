@@ -1,7 +1,5 @@
 """Tests for the figure builders and the CLI runner."""
 
-import os
-
 import pytest
 
 from repro.experiments import cli
@@ -10,7 +8,11 @@ from repro.experiments.figures import BUILDERS, build_sec73
 
 def test_builders_cover_every_table_and_figure():
     expected = {"table1", "table2", "table3", "fig4", "fig5", "fig7",
-                "fig8", "fig9", "fig10", "fig11", "sec73"}
+                "fig8", "fig9", "fig10", "fig11", "sec73", "sec73_sim",
+                "ablation_queue", "ablation_sendbuf",
+                "ablation_lossmodel", "ablation_tcp_variant",
+                "ablation_kpaths", "receiver_buffer",
+                "transient_validation"}
     assert set(BUILDERS) == expected
 
 
@@ -29,10 +31,16 @@ def test_cli_list(capsys):
 
 
 def test_cli_runs_builder_and_saves(tmp_path, capsys):
-    assert cli.main(["sec73", "-o", str(tmp_path)]) == 0
+    from repro.experiments.cache import CODE_VERSION
+
+    assert cli.main(["sec73", "--scale", "quick", "-o", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "Sec 7.3" in out
-    assert os.path.exists(tmp_path / "sec73.txt")
+    # One stable header line, then exactly the builder's text.
+    saved = (tmp_path / "sec73.txt").read_text()
+    header, body = saved.split("\n", 1)
+    assert header == f"# sec73 profile=quick CODE_VERSION={CODE_VERSION}"
+    assert body == build_sec73()
 
 
 def test_cli_rejects_unknown_target():

@@ -93,7 +93,7 @@ def test_render_series():
 
 
 def test_save_output(tmp_path):
-    path = save_output("demo.txt", "hello\n", directory=str(tmp_path))
+    path = save_output(str(tmp_path), "demo.txt", "hello\n")
     assert os.path.exists(path)
     with open(path) as handle:
         assert handle.read() == "hello\n"
