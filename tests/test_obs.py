@@ -178,7 +178,9 @@ def test_event_times_monotone_per_run():
 # ---------------------------------------------------------------------
 # PacketTrace compatibility (bit-identity with the pre-bus plumbing)
 # ---------------------------------------------------------------------
-def test_trace_sink_bit_identical_to_pre_refactor_goldens():
+@pytest.fixture(scope="module")
+def golden_run():
+    """The golden 2-2 session and its bottleneck trace, run once."""
     from repro.experiments.configs import ALL_SETTINGS
 
     setting = ALL_SETTINGS[GOLDEN_SETTING]
@@ -188,17 +190,27 @@ def test_trace_sink_bit_identical_to_pre_refactor_goldens():
         shared_bottleneck=setting.shared_bottleneck, seed=GOLDEN_SEED)
     trace = session.attach_packet_trace()
     session.run()
+    return session, trace
 
-    assert len(trace.records) == GOLDEN_N_RECORDS
+
+def records_digest(records):
+    """sha256 over trace records, packet uids renumbered by first
+    appearance."""
     remap = {}
     digest = hashlib.sha256()
-    for rec in trace.records:
+    for rec in records:
         uid = remap.setdefault(rec.uid, len(remap))
         digest.update(repr(
             (rec.time, rec.event, rec.link, uid, rec.src, rec.dst,
              rec.sport, rec.dport, rec.seq, rec.ack, rec.size,
              rec.is_ack, rec.is_retransmit)).encode())
-    assert digest.hexdigest() == GOLDEN_DIGEST
+    return digest.hexdigest()
+
+
+def test_trace_sink_bit_identical_to_pre_refactor_goldens(golden_run):
+    session, trace = golden_run
+    assert len(trace.records) == GOLDEN_N_RECORDS
+    assert records_digest(trace.records) == GOLDEN_DIGEST
 
     for idx, golden in ((0, GOLDEN_FLOW0), (1, GOLDEN_FLOW1)):
         estimate = estimate_flow(trace, video_flow_key(session, idx))
@@ -208,6 +220,27 @@ def test_trace_sink_bit_identical_to_pre_refactor_goldens():
         assert estimate.mean_rtt == golden["mean_rtt"]
         assert estimate.timeout_ratio == golden["timeout_ratio"]
         assert estimate.segments == golden["segments"]
+
+
+# The same trace restricted to the two video flows (data segments and
+# their ACKs): everything the session itself put on the bottlenecks.
+# The background flows' records also depend on how long the run goes
+# on after the video, which a change to the run's end may move; these
+# must not.
+GOLDEN_VIDEO_N_RECORDS = 7150
+GOLDEN_VIDEO_DIGEST = \
+    "3e0c69e552abb78a069121b2ec6f9dd640e34da1240c44f77e9dbc00e9e8b2f7"
+
+
+def test_golden_video_flow_records_pinned(golden_run):
+    session, trace = golden_run
+    keys = set()
+    for idx in (0, 1):
+        src, sport, dst, dport = video_flow_key(session, idx)
+        keys.update({(src, sport, dst, dport), (dst, dport, src, sport)})
+    video = [rec for rec in trace.records if rec.flow_key() in keys]
+    assert len(video) == GOLDEN_VIDEO_N_RECORDS
+    assert records_digest(video) == GOLDEN_VIDEO_DIGEST
 
 
 # The correlated-paths (Fig. 6) topology, pinned the same way: sha256
@@ -221,28 +254,46 @@ FIG6_DIGEST = \
     "0291e735c7f0cbc0c5039baa99d0836d0947f1f42b12ef24bb8b5cc24aef8fb6"
 
 
-def run_digest(arrivals, flow_stats, path_shares, drop_fraction):
+def run_digest(arrivals, flow_stats, path_shares, *rest):
     digest = hashlib.sha256()
     for item in (arrivals, [sorted(s.items()) for s in flow_stats],
-                 path_shares, drop_fraction):
+                 path_shares, *rest):
         digest.update(repr(item).encode())
     return digest.hexdigest()
 
 
-def test_correlated_paths_run_bit_identical_to_pinned_digest():
+@pytest.fixture(scope="module")
+def fig6_result():
     from repro.experiments.configs import ALL_SETTINGS
 
     setting = ALL_SETTINGS[FIG6_SETTING]
     assert setting.shared_bottleneck
-    result = MultiSessionCampaign(
+    return MultiSessionCampaign(
         mu=setting.mu, duration_s=FIG6_DURATION_S,
         paths=setting.path_configs(),
         shared_bottleneck=setting.shared_bottleneck,
         seed=FIG6_SEED).run()
-    (session,) = result.sessions
+
+
+def test_correlated_paths_run_bit_identical_to_pinned_digest(fig6_result):
+    (session,) = fig6_result.sessions
     assert run_digest(session.arrivals, session.flow_stats,
                       session.path_shares,
-                      result.bottleneck_drop_fraction) == FIG6_DIGEST
+                      fig6_result.bottleneck_drop_fraction) == FIG6_DIGEST
+
+
+# The session's own record from the same run, without the drop
+# fraction: that one counts the background flows' packets for as long
+# as the run goes on, the session's arrivals, flow stats and path
+# shares do not.
+FIG6_RECORD_DIGEST = \
+    "41b67fdbdc07343c5847dc65171b0beb7cb024475f07e0402a765fd080f22e52"
+
+
+def test_correlated_paths_session_record_pinned(fig6_result):
+    (session,) = fig6_result.sessions
+    assert run_digest(session.arrivals, session.flow_stats,
+                      session.path_shares) == FIG6_RECORD_DIGEST
 
 
 # The probe JSONL stream of a short 2-2 run, pinned byte for byte:
