@@ -115,6 +115,43 @@ class SessionAssembly:
         """Simulated time the video generation ends."""
         return self.start_at + self.duration_s
 
+    @property
+    def final(self) -> bool:
+        """True once the client holds the whole video and every video
+        sender's buffer is empty.
+
+        From then on no event can change what this session records:
+        each packet was delivered once, in order, and acknowledged, so
+        no arrival, fetch or new ACK is left to count.
+        """
+        return (self.client.received == self.source.total_packets
+                and not any(conn.sender.buffered
+                            for conn in self.connections))
+
+    def watch_final(self, on_final: Callable[[], None]) -> None:
+        """Call ``on_final()`` once, at the first instant the session
+        is :attr:`final`.
+
+        The receiver delivers a segment before it acknowledges it, so
+        that instant is a new ACK emptying a video sender's buffer:
+        the check rides on the streamer's send-space callback from
+        this call on, and only an ACK that empties a buffer runs it.
+        """
+        if self.final:
+            on_final()
+            return
+        streamer_space = self.streamer.on_send_space
+
+        def on_send_space(connection: TcpConnection) -> None:
+            streamer_space(connection)
+            if not connection.sender.buffered and self.final:
+                for conn in self.connections:
+                    conn._user_on_send_space = streamer_space
+                on_final()
+
+        for conn in self.connections:
+            conn._user_on_send_space = on_send_space
+
     def arrivals_relative(self) -> List[Tuple[int, float]]:
         """Client arrivals shifted to this session's video clock."""
         start = self.start_at

@@ -248,6 +248,7 @@ class MultiSessionCampaign:
 
         # --- per-session endpoint stacks -----------------------------
         self._p_session_done = self.sim.bus.probe("campaign.session_done")
+        self._unfinal = n_sessions
         self.assemblies: List[SessionAssembly] = []
         for i, handles in enumerate(self.topology.sessions):
             assembly = SessionAssembly(
@@ -362,19 +363,33 @@ class MultiSessionCampaign:
 
     def _on_session_done(self, index: int) -> None:
         """Fires at the instant session ``index``'s video ends."""
+        assembly = self.assemblies[index]
         if self._p_session_done.active:
-            assembly = self.assemblies[index]
             self._p_session_done.emit(
                 self.sim.now, assembly.label,
                 assembly.client.received,
                 assembly.source.total_packets)
+        assembly.watch_final(self._on_session_final)
+
+    def _on_session_final(self) -> None:
+        self._unfinal -= 1
+        if not self._unfinal:
+            self.sim.stop()
 
     # ------------------------------------------------------------------
     def run(self, drain_s: float = 60.0) -> CampaignResult:
-        """Run every session to completion plus ``drain_s`` seconds.
+        """Run until every session is final, for at most ``drain_s``
+        seconds after the last video ends.
 
-        The drain lets in-flight packets still arrive (they may or
-        may not be late).
+        ``drain_s`` is an upper bound: the run ends at the first
+        instant every client holds the whole video and every video
+        sender's buffer is empty (see
+        :attr:`~repro.core.assembly.SessionAssembly.final`), since no
+        later event can change a session's record.  Only the
+        run-level ``bottleneck_drop_fraction`` and ``events_processed``
+        see the background traffic that would have followed.  A
+        session that never completes runs the whole drain, letting
+        in-flight packets still arrive (they may or may not be late).
         """
         horizon = max(a.end_at for a in self.assemblies) + drain_s
         self.sim.run(until=horizon)

@@ -44,7 +44,7 @@ class DmpStreamer:
                             in enumerate(self.connections)}
         self._p_assign = sim.bus.probe("streamer.assign")
         for conn in self.connections:
-            conn._user_on_send_space = self._on_send_space
+            conn._user_on_send_space = self.on_send_space
 
     # ------------------------------------------------------------------
     def attach_source(self, source: VideoSource) -> None:
@@ -66,7 +66,7 @@ class DmpStreamer:
                 break
         self._rr_offset = (self._rr_offset + 1) % n
 
-    def _on_send_space(self, connection: TcpConnection) -> None:
+    def on_send_space(self, connection: TcpConnection) -> None:
         self._drain_into(self._conn_index[id(connection)])
 
     def _drain_into(self, idx: int) -> None:
@@ -133,7 +133,7 @@ class StaticStreamer:
                             in enumerate(self.connections)}
         self._p_assign = sim.bus.probe("streamer.assign")
         for conn in self.connections:
-            conn._user_on_send_space = self._on_send_space
+            conn._user_on_send_space = self.on_send_space
 
     def attach_source(self, source: VideoSource) -> None:
         source.add_listener(self._on_generate)
@@ -155,7 +155,7 @@ class StaticStreamer:
         self._queues[idx].append(packet)
         self._drain(idx)
 
-    def _on_send_space(self, connection: TcpConnection) -> None:
+    def on_send_space(self, connection: TcpConnection) -> None:
         self._drain(self._conn_index[id(connection)])
 
     def _drain(self, idx: int) -> None:

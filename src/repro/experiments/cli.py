@@ -529,15 +529,20 @@ def _dispatch(parser, args) -> int:
                               profile=profile.name):
                     for name in targets:
                         started = time.time()  # repro-lint: disable=RL001 -- progress timer
+                        # One cache serves every target: report the
+                        # hits and misses this target added.
+                        cache = result_cache.default_cache()
+                        if cache is not None:
+                            hits, misses = cache.hits, cache.misses
                         with tel.span("target", label=name):
                             text = BUILDERS[name](profile=profile)
                         print(text)
                         status = (f"[{name}: {time.time() - started:.1f}s at "  # repro-lint: disable=RL001 -- progress timer
                                   f"profile={profile.name}")
-                        cache = result_cache.default_cache()
                         if cache is not None:
-                            status += (f", cache: {cache.hits} hits / "
-                                       f"{cache.misses} misses")
+                            status += (
+                                f", cache: {cache.hits - hits} hits / "
+                                f"{cache.misses - misses} misses")
                         print(status + "]\n")
                         if args.output_dir:
                             # No time, host or worker count: the saved

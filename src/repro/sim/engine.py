@@ -247,6 +247,22 @@ class Simulator:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
+    def stop(self) -> None:
+        """End the current :meth:`run` once the running callback returns.
+
+        Later entries, even those due at the same instant, stay in the
+        calendar; :attr:`now` stays at the stopping event's time (it is
+        not advanced to the horizon), and the next :meth:`run` resumes
+        from there.
+        """
+        # ``run`` loops over the list it started with.  Moving the
+        # entries to a fresh list empties that one, so the loop ends
+        # after the running callback while events the callback still
+        # schedules land in the new calendar: no per-event check.
+        heap = self._heap
+        self._heap = heap[:]
+        heap.clear()
+
     def step(self) -> bool:
         """Run the next pending event.  Returns False if none remain."""
         return self.run(max_events=1) > 0
@@ -256,13 +272,15 @@ class Simulator:
         """Run events until the horizon ``until`` or the heap drains.
 
         When ``until`` is given the clock is advanced to exactly
-        ``until`` on return, even if the last event fired earlier.
+        ``until`` on return, even if the last event fired earlier,
+        unless a callback called :meth:`stop`.
         Returns the number of events executed.  This single loop is the
         only place events are popped (``step`` delegates here); it is
         deliberately inline — the simulator spends most of its wall
         clock in this loop, and a helper call per event is measurable.
         """
-        heap = self._heap  # identity stable: _compact rebuilds in place
+        # Identity stable until ``stop``: _compact rebuilds in place.
+        heap = self._heap
         pop = heapq.heappop
         p_event = self._p_event
         processed = 0
@@ -283,6 +301,8 @@ class Simulator:
             processed += 1
             if max_events is not None and processed >= max_events:
                 return processed
+        if heap is not self._heap:  # stopped
+            return processed
         if until is not None and self.now < until:
             self.now = until
         return processed

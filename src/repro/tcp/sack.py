@@ -11,7 +11,7 @@ but multi-loss recovery no longer costs one RTT per hole.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Any, List, Set
 
 from repro.sim.packet import Packet
 from repro.tcp.reno import RenoSender
@@ -20,7 +20,7 @@ from repro.tcp.reno import RenoSender
 class SackSender(RenoSender):
     """Reno with selective-acknowledgement loss recovery."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self._sacked: Set[int] = set()
         self._rtx_done: Set[int] = set()
@@ -37,7 +37,7 @@ class SackSender(RenoSender):
         super().handle_packet(packet)
 
     # ------------------------------------------------------------------
-    def _holes(self) -> list:
+    def _holes(self) -> List[int]:
         """Unsacked, unretransmitted segments below the highest SACK."""
         if not self._sacked:
             return []

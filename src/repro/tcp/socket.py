@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional, Type
 
 from repro.sim.engine import Simulator
 from repro.sim.node import Node
@@ -11,7 +11,7 @@ from repro.tcp.receiver import TcpReceiver
 from repro.tcp.reno import RenoSender
 from repro.tcp.sack import SackSender
 
-SENDER_VARIANTS = {
+SENDER_VARIANTS: Dict[str, Type[RenoSender]] = {
     "reno": RenoSender,
     "newreno": NewRenoSender,
     "sack": SackSender,
@@ -34,10 +34,11 @@ class TcpConnection:
                  delack_interval: float = 0.1,
                  on_deliver: Optional[
                      Callable[[Any, int, float], None]] = None,
-                 on_send_space: Optional[Callable[..., None]] = None,
+                 on_send_space: Optional[
+                     Callable[["TcpConnection"], None]] = None,
                  window_provider: Optional[Callable[[], int]] = None,
                  name: Optional[str] = None,
-                 variant: str = "reno"):
+                 variant: str = "reno") -> None:
         try:
             sender_cls = SENDER_VARIANTS[variant]
         except KeyError:
@@ -119,7 +120,7 @@ class TcpConnection:
     def delivered(self) -> int:
         return self.receiver.delivered
 
-    def stats(self) -> dict:
+    def stats(self) -> Dict[str, Any]:
         """Flow summary used by the experiment harness."""
         sender = self.sender
         return {

@@ -90,6 +90,33 @@ def test_cli_reports_cache_stats(tmp_path, capsys):
     assert "cache: 0 hits / 0 misses" in out  # sec73 never simulates
 
 
+def test_cli_all_reports_each_targets_own_cache_stats(tmp_path, capsys,
+                                                      monkeypatch):
+    """One cache serves every target of ``all``; each status line
+    counts only the hits and misses of its own target."""
+    from repro.experiments import cache as result_cache
+
+    def builder(hits, misses):
+        def build(profile):
+            cache = result_cache.default_cache()
+            cache.hits += hits
+            cache.misses += misses
+            return "built"
+        return build
+
+    monkeypatch.setattr(cli, "BUILDERS",
+                        {"first": builder(2, 1), "second": builder(0, 3)})
+    assert cli.main(["all", "--cache-dir", str(tmp_path),
+                     "--no-telemetry-summary"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if "cache:" in line]
+    assert len(lines) == 2
+    assert lines[0].startswith("[first:")
+    assert lines[0].endswith("cache: 2 hits / 1 misses]")
+    assert lines[1].startswith("[second:")
+    assert lines[1].endswith("cache: 0 hits / 3 misses]")
+
+
 # ------------------------------------------------------------------
 # verify target
 # ------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The heart of the suite is the compatibility contract: a
 :class:`~repro.obs.TraceSink` attached to a session must reproduce the
 pre-bus ``trace=`` plumbing bit-for-bit, so the Section-6 estimation
-pipeline is provably unchanged by the refactor.  The golden digests and
-flow estimates below were captured on the pre-refactor code (commit
-0a7aad2) for Setting 2-2, seed 220, 30 s of video.
+pipeline is provably unchanged by the refactor.  The golden flow
+estimates below were captured on the pre-refactor code (commit
+0a7aad2) for Setting 2-2, seed 220, 30 s of video; the record pins
+cover the same run.
 """
 
 import hashlib
@@ -33,12 +34,16 @@ from tests.trace_estimator import estimate_flow
 GOLDEN_SETTING = "2-2"
 GOLDEN_SEED = 220
 GOLDEN_DURATION_S = 30.0
-GOLDEN_N_RECORDS = 314553
+# The record count and digest cover the whole run.  They were re-pinned
+# when runs began to end once the session is final: the 171,357
+# records dropped were background traffic after that instant, and the
+# video-flow records and flow estimates below did not move.
+GOLDEN_N_RECORDS = 143196
 # sha256 over the records with packet uids renumbered by first
 # appearance (raw uids come from a process-global counter, so the
 # digest must not depend on what ran earlier in the process).
 GOLDEN_DIGEST = \
-    "fe2018a823e14f1ea8085df6c2934b3d85e55d015e02f6cd9af0619d7d359ecb"
+    "b13071eb94751194394f31f0f347529ec9564cd0db6abbcba5fd0a378daf79e8"
 GOLDEN_FLOW0 = dict(loss_rate=0.01738122827346466,
                     retransmission_rate=0.023174971031286212,
                     mean_rtt=0.19176377514583512,
@@ -246,12 +251,15 @@ def test_golden_video_flow_records_pinned(golden_run):
 # The correlated-paths (Fig. 6) topology, pinned the same way: sha256
 # over the session's arrivals, per-flow stats, path shares and the
 # bottleneck drop fraction, captured on the single-session builder
-# that preceded MultiSessionCampaign(paths=...).
+# that preceded MultiSessionCampaign(paths=...).  Re-pinned when runs
+# began to end once the session is final: the drop fraction counts
+# the background traffic up to the run's end and went from 0.01642 to
+# 0.01815; the session's own record (FIG6_RECORD_DIGEST) did not move.
 FIG6_SETTING = "corr-2"
 FIG6_SEED = 606
 FIG6_DURATION_S = 10.0
 FIG6_DIGEST = \
-    "0291e735c7f0cbc0c5039baa99d0836d0947f1f42b12ef24bb8b5cc24aef8fb6"
+    "d51f3e54d7cdb493f4936dc49a425369f3259e505be092525d191cadcacd07c8"
 
 
 def run_digest(arrivals, flow_stats, path_shares, *rest):

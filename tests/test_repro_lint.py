@@ -48,7 +48,9 @@ STRICT_PATHS = ["src/repro/sim", "src/repro/obs",
                 "src/repro/core/campaign.py",
                 "src/repro/core/streamers.py",
                 "src/repro/tcp/reno.py",
-                "src/repro/tcp/receiver.py"]
+                "src/repro/tcp/receiver.py",
+                "src/repro/tcp/socket.py",
+                "src/repro/tcp/sack.py"]
 
 
 # ---------------------------------------------------------------------

@@ -123,6 +123,53 @@ def test_zero_delay_event_fires_at_current_time():
 
 
 # ---------------------------------------------------------------------
+# stop(): end the current run after the running callback
+# ---------------------------------------------------------------------
+def test_stop_finishes_the_callback_and_skips_same_instant_entries():
+    sim = Simulator()
+    fired = []
+
+    def stopping():
+        sim.stop()
+        fired.append("stopper")
+        sim.schedule(0.0, fired.append, "scheduled after stop")
+
+    sim.at(1.0, fired.append, "before")
+    sim.at(2.0, stopping)
+    sim.at(2.0, fired.append, "same instant")
+    sim.at(3.0, fired.append, "later")
+    assert sim.run(until=10.0) == 2
+    assert fired == ["before", "stopper"]
+    assert sim.now == 2.0  # not advanced to the horizon
+    assert sim.events_processed == 2  # the stopping event counts
+    assert sim.pending_events == 3
+
+
+def test_run_after_stop_resumes_without_stopping_again():
+    sim = Simulator()
+    fired = []
+    sim.at(1.0, sim.stop)
+    for t in (1.0, 2.0, 3.0):
+        sim.at(t, fired.append, t)
+    sim.run(until=10.0)
+    assert fired == [] and sim.now == 1.0
+    assert sim.run(until=10.0) == 3  # the stop does not leak
+    assert fired == [1.0, 2.0, 3.0]
+    assert sim.now == 10.0
+    assert sim.events_processed == 4
+
+
+def test_stop_outside_a_run_does_not_end_the_next_one():
+    sim = Simulator()
+    fired = []
+    sim.at(1.0, fired.append, 1)
+    sim.at(2.0, fired.append, 2)
+    sim.stop()
+    sim.run()
+    assert fired == [1, 2]
+
+
+# ---------------------------------------------------------------------
 # Cancelling an event that has already fired
 # ---------------------------------------------------------------------
 def test_cancelling_a_fired_event_leaves_counts_alone():
