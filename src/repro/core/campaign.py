@@ -248,7 +248,7 @@ class MultiSessionCampaign:
 
         # --- per-session endpoint stacks -----------------------------
         self._p_session_done = self.sim.bus.probe("campaign.session_done")
-        self._unfinal = n_sessions
+        self._not_final = n_sessions
         self.assemblies: List[SessionAssembly] = []
         for i, handles in enumerate(self.topology.sessions):
             assembly = SessionAssembly(
@@ -372,8 +372,8 @@ class MultiSessionCampaign:
         assembly.watch_final(self._on_session_final)
 
     def _on_session_final(self) -> None:
-        self._unfinal -= 1
-        if not self._unfinal:
+        self._not_final -= 1
+        if not self._not_final:
             self.sim.stop()
 
     # ------------------------------------------------------------------
