@@ -16,14 +16,14 @@ questions is *yes* — with margin to spare.
 Run:  python examples/dual_isp_home.py
 """
 
-from repro.model import DmpModel, FlowParams, SinglePathModel
+from repro.model import DmpModel, FlowParams
 
 # One ADSL-ish path: 2% loss events, 100 ms RTT, T_O = 2.
 ADSL = FlowParams(p=0.02, rtt=0.100, to_ratio=2.0)
 TAU = 10.0          # startup delay users tolerate
 TARGET = 1e-4       # satisfactory late fraction (Section 7.1)
 
-sigma = SinglePathModel(ADSL, mu=1.0, tau=1.0).aggregate_throughput()
+sigma = DmpModel([ADSL], mu=1.0, tau=1.0).aggregate_throughput()
 print(f"One ADSL line: achievable TCP throughput = "
       f"{sigma:.1f} pkts/s ({sigma * 1500 * 8 / 1e6:.2f} Mbps)\n")
 
@@ -37,7 +37,8 @@ def verdict(late: float) -> str:
 # Baseline: a single line at the single-path rule sigma/mu = 2.
 # ----------------------------------------------------------------------
 mu_single = sigma / 2.0
-single = SinglePathModel(ADSL, mu=mu_single, tau=TAU)
+# The single-path model of [31] is the coupled model with one flow.
+single = DmpModel([ADSL], mu=mu_single, tau=TAU)
 f_single = single.late_fraction_mc(horizon_s=30000,
                                    seed=1).late_fraction
 print(f"Single line, video at mu = {mu_single:.1f} pkts/s "

@@ -16,6 +16,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import BottleneckSpec, MultiSessionCampaign, PathConfig
+from repro.experiments.sweep import DelayQuestion, required_startup_delays
 from repro.model import DmpModel, FlowParams
 
 # ----------------------------------------------------------------------
@@ -73,8 +74,9 @@ for tau in (4.0, 6.0, 8.0, 10.0):
 model = DmpModel(flows, mu=MU, tau=10.0)
 ratio = model.throughput_ratio
 print(f"\n  aggregate achievable throughput / mu = {ratio:.2f}")
-required = model.required_startup_delay(threshold=1e-4,
-                                        horizon_s=20000, seed=1)
+(required,) = required_startup_delays(
+    [DelayQuestion(tuple(flows), MU)], threshold=1e-4, horizon_s=20000,
+    seed=1)
 if required is None:
     print("  no startup delay on the grid meets the 1e-4 target "
           "(ratio too low)")

@@ -21,7 +21,7 @@ class VideoSource:
     def __init__(self, sim: Simulator, queue: Optional[ServerQueue],
                  mu: float, duration_s: float, start_at: float = 0.0,
                  on_generate: Optional[Callable[[VideoPacket], None]]
-                 = None):
+                 = None) -> None:
         if mu <= 0:
             raise ValueError("playback rate mu must be positive")
         self.total_packets = int(round(duration_s * mu))

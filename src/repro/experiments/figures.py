@@ -14,6 +14,7 @@ from repro.core.client import StreamClient
 from repro.core.metrics import late_fraction
 from repro.core.source import VideoSource
 from repro.core.streamers import DmpStreamer
+from repro.experiments.cache import resolve_cache
 from repro.experiments.configs import (
     CALIBRATED_CONFIGS,
     CORRELATED_SETTINGS,
@@ -25,14 +26,21 @@ from repro.experiments.internet import (
     run_internet_experiments,
     within_tenfold_fraction,
 )
+from repro.experiments.parallel import ModelTask, ReplicationExecutor
 from repro.experiments.report import render_series, render_table
-from repro.experiments.runner import ScaleProfile, run_setting
+from repro.experiments.runner import (
+    ScaleProfile,
+    fetch_estimates,
+    run_setting,
+)
 from repro.experiments.sweep import (
+    DelayQuestion,
     fig8_curves,
     fig9a_rows,
     fig9b_rows,
     fig10_rows,
     fig11_rows,
+    required_startup_delays,
     rtt_for_ratio,
 )
 from repro.model.dmp_model import DmpModel
@@ -555,30 +563,30 @@ def build_ablation_lossmodel(profile: ScaleProfile) -> str:
     run = run_setting(setting, taus=taus, profile=profile,
                       seed0=550, run_model=False)
 
-    variants = {}
-    for loss_model in ("bursty", "sparse"):
-        flows = [FlowParams(p=max(m["p"], 1e-4), rtt=m["rtt"],
-                            to_ratio=max(m["to"], 1.0),
-                            loss_model=loss_model)
-                 for m in run.measured]
-        model = DmpModel(flows, mu=setting.mu, tau=taus[0])
-        predictions = {}
-        for tau in taus:
-            predictions[tau] = model.with_tau(tau).late_fraction_mc(
-                horizon_s=profile.model_horizon_s,
-                seed=550).late_fraction
-        variants[loss_model] = (model.throughput_ratio, predictions)
+    variants = {loss_model: tuple(
+        FlowParams(p=max(m["p"], 1e-4), rtt=m["rtt"],
+                   to_ratio=max(m["to"], 1.0), loss_model=loss_model)
+        for m in run.measured) for loss_model in ("bursty", "sparse")}
+    estimates = iter(fetch_estimates(
+        [ModelTask(flows=flows, mu=setting.mu, tau=tau,
+                   horizon_s=profile.model_horizon_s, seed=550)
+         for flows in variants.values() for tau in taus],
+        resolve_cache(None), ReplicationExecutor()))
+    predictions = {name: {tau: next(estimates).late_fraction
+                          for tau in taus} for name in variants}
+    ratios = {name: DmpModel(flows, mu=setting.mu, tau=taus[0])
+              .throughput_ratio for name, flows in variants.items()}
 
     rows = []
     for tau in taus:
         point = run.point(tau)
         rows.append([
             f"{tau:g}", f"{point.sim_mean:.3e}",
-            f"{variants['bursty'][1][tau]:.3e}",
-            f"{variants['sparse'][1][tau]:.3e}",
+            f"{predictions['bursty'][tau]:.3e}",
+            f"{predictions['sparse'][tau]:.3e}",
         ])
-    header = (f"sigma_a/mu: bursty={variants['bursty'][0]:.2f} "
-              f"sparse={variants['sparse'][0]:.2f}\n")
+    header = (f"sigma_a/mu: bursty={ratios['bursty']:.2f} "
+              f"sparse={ratios['sparse']:.2f}\n")
     return header + render_table(
         ["tau (s)", "sim f", "model f (bursty)", "model f (sparse)"],
         rows,
@@ -641,21 +649,21 @@ def build_ablation_kpaths(profile: ScaleProfile) -> str:
     """
     p, to, mu, ratio = 0.02, 4.0, 25.0, 1.6
     horizon = profile.model_horizon_s
-    rows = []
-    for k in (1, 2, 3, 4):
-        # Each path carries 1/K of a fixed aggregate throughput.
-        rtt = rtt_for_ratio(p, to, mu, ratio, k=k)
-        flow = FlowParams(p=p, rtt=rtt, to_ratio=to)
-        model = DmpModel([flow] * k, mu=mu, tau=6.0)
-        f6 = model.late_fraction_mc(horizon_s=horizon,
-                                    seed=13).late_fraction
-        f10 = model.with_tau(10.0).late_fraction_mc(
-            horizon_s=horizon, seed=13).late_fraction
-        required = model.required_startup_delay(
-            threshold=1e-4, horizon_s=horizon, seed=13)
-        rows.append([k, f"{rtt * 1e3:.0f}",
-                     f"{model.throughput_ratio:.2f}",
-                     f"{f6:.3e}", f"{f10:.3e}", required])
+    # Each path carries 1/K of a fixed aggregate throughput.
+    paths = {k: (FlowParams(p=p, rtt=rtt_for_ratio(p, to, mu, ratio, k=k),
+                            to_ratio=to),) * k for k in (1, 2, 3, 4)}
+    late = iter(fetch_estimates(
+        [ModelTask(flows=flows, mu=mu, tau=tau, horizon_s=horizon, seed=13)
+         for flows in paths.values() for tau in (6.0, 10.0)],
+        resolve_cache(None), ReplicationExecutor()))
+    required = required_startup_delays(
+        [DelayQuestion(flows, mu) for flows in paths.values()],
+        threshold=1e-4, horizon_s=horizon, seed=13)
+    rows = [[k, f"{flows[0].rtt * 1e3:.0f}",
+             f"{DmpModel(flows, mu=mu, tau=6.0).throughput_ratio:.2f}",
+             f"{next(late).late_fraction:.3e}",
+             f"{next(late).late_fraction:.3e}", tau]
+            for (k, flows), tau in zip(paths.items(), required)]
     return render_table(
         ["K paths", "per-path RTT (ms)", "sigma_a/mu",
          "late frac tau=6", "late frac tau=10", "required tau (s)"],

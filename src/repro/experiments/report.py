@@ -8,10 +8,11 @@ runs.
 from __future__ import annotations
 
 import os
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
-def render_table(headers: Sequence[str], rows: Iterable[Sequence],
+def render_table(headers: Sequence[str],
+                 rows: Iterable[Sequence[object]],
                  title: Optional[str] = None) -> str:
     """Monospace table with column auto-sizing."""
     str_rows: List[List[str]] = [[_fmt(cell) for cell in row]
@@ -36,7 +37,7 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence],
     return "\n".join(parts) + "\n"
 
 
-def _fmt(cell) -> str:
+def _fmt(cell: object) -> str:
     if cell is None:
         return "-"
     if isinstance(cell, float):
@@ -48,7 +49,8 @@ def _fmt(cell) -> str:
     return str(cell)
 
 
-def render_series(title: str, series: dict,
+def render_series(title: str,
+                  series: Mapping[str, Iterable[Tuple[float, object]]],
                   x_label: str = "x", y_label: str = "y") -> str:
     """Render named (x, y) series as aligned columns."""
     lines = [title, "=" * len(title)]

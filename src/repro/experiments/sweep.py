@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro import telemetry
 from repro.experiments.cache import ResultCache, resolve_cache
 from repro.experiments.parallel import ModelTask, ReplicationExecutor
 from repro.experiments.runner import fetch_estimates
-from repro.model.dmp_model import DmpModel
-from repro.model.singlepath import SinglePathModel
 from repro.model.tcp_chain import FlowParams, TcpFlowChain
 
 DEFAULT_THRESHOLD = 1e-4
@@ -138,6 +138,96 @@ def fig8_curves(p: float = 0.02, to_ratio: float = 4.0,
 
 
 # ---------------------------------------------------------------------
+# Required startup delay — the lockstep search behind Figs. 9-11
+# ---------------------------------------------------------------------
+class DelayQuestion(NamedTuple):
+    """Smallest startup delay on ``taus`` at which ``flows`` carry a
+    video of rate ``mu`` with a late fraction below the threshold."""
+
+    flows: Tuple[FlowParams, ...]
+    mu: float
+    taus: Tuple[float, ...] = REQUIRED_DELAY_GRID
+
+
+def _search(question: DelayQuestion, threshold: float, horizon_s: float,
+            seed: int) -> Generator[ModelTask, float, Optional[float]]:
+    """Bisection of one question's grid (the late fraction is
+    non-increasing in tau): the top, then the bottom, then midpoints.
+    It yields each solve, is sent its late fraction, returns the answer.
+
+    Near the threshold an estimate is dominated by rare deep-deficit
+    excursions (timeout-backoff cascades), so each decision is
+    sequential: a clearly decisive solve settles it, otherwise up to
+    four independent solves (seeds ``seed + 7919 * i``) are pooled.
+    """
+    taus = sorted(question.taus)
+
+    def satisfies(tau: float) -> Generator[ModelTask, float, bool]:
+        total = 0.0
+        for i in range(4):
+            total += yield ModelTask(
+                flows=question.flows, mu=question.mu, tau=tau,
+                horizon_s=horizon_s, seed=seed + 7919 * i)
+            pooled = total / (i + 1)
+            # Decisive once the pooled mean sits far from the line.
+            if pooled >= 3.0 * threshold:
+                return False
+            if i >= 1 and pooled < threshold / 3.0:
+                return True
+            if i == 0 and pooled < threshold / 30.0:
+                return True
+        return pooled < threshold
+
+    lo, hi = 0, len(taus) - 1
+    if not (yield from satisfies(taus[hi])):
+        return None
+    if (yield from satisfies(taus[lo])):
+        return taus[lo]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (yield from satisfies(taus[mid])):
+            hi = mid
+        else:
+            lo = mid
+    return taus[hi]
+
+
+def required_startup_delays(questions: Sequence[DelayQuestion],
+                            threshold: float = DEFAULT_THRESHOLD,
+                            horizon_s: float = 20000.0, seed: int = 0,
+                            max_workers: Optional[int] = None,
+                            cache: Union[ResultCache, bool, None] = None
+                            ) -> List[Optional[float]]:
+    """Required startup delay per question (None when even the top of
+    its grid misses the threshold), in question order.
+
+    Every question's search advances in lockstep: each round's probes
+    are one :func:`fetch_estimates` batch of ``ModelTask`` solves, so
+    they fan out over the configured workers and consult the result
+    cache.  Each probe keeps its own seed, so the answers do not depend
+    on the batching, the worker count or the cache.
+    """
+    executor = ReplicationExecutor(max_workers=max_workers)
+    store = resolve_cache(cache)
+    searches = [_search(question, threshold, horizon_s, seed)
+                for question in questions]
+    answers: List[Optional[float]] = [None] * len(searches)
+    probes: Dict[int, ModelTask] = {
+        idx: next(search) for idx, search in enumerate(searches)}
+    while probes:
+        batch = list(probes)
+        estimates = fetch_estimates([probes[idx] for idx in batch],
+                                    store, executor)
+        for idx, estimate in zip(batch, estimates):
+            try:
+                probes[idx] = searches[idx].send(estimate.late_fraction)
+            except StopIteration as done:
+                answers[idx] = done.value
+                del probes[idx]
+    return answers
+
+
+# ---------------------------------------------------------------------
 # Fig. 9 — required startup delay, homogeneous paths
 # ---------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -163,22 +253,12 @@ def fig9a_rows(ratio: float = 1.6, to_ratio: float = 4.0,
     The paper omits (p=0.004, mu=25) because the implied RTT exceeds
     600 ms; ``max_rtt`` reproduces that rule.
     """
-    rows: List[RequiredDelayRow] = []
-    for mu in mus:
-        for p in losses:
-            rtt = rtt_for_ratio(p, to_ratio, mu, ratio)
-            if rtt > max_rtt:
-                continue
-            params = FlowParams(p=p, rtt=rtt, to_ratio=to_ratio)
-            model = DmpModel([params, params], mu=mu, tau=1.0)
-            required = model.required_startup_delay(
-                threshold=threshold, taus=REQUIRED_DELAY_GRID,
-                horizon_s=horizon_s, seed=seed)
-            rows.append(RequiredDelayRow(
-                label=f"mu={mu:g},p={p:g}", p=p, rtt=rtt,
-                to_ratio=to_ratio, mu=mu, ratio=ratio,
-                required_tau=required))
-    return rows
+    bars = [(f"mu={mu:g},p={p:g}",
+             FlowParams(p=p, rtt=rtt_for_ratio(p, to_ratio, mu, ratio),
+                        to_ratio=to_ratio), mu)
+            for mu in mus for p in losses]
+    return _homogeneous_rows([bar for bar in bars if bar[1].rtt <= max_rtt],
+                             ratio, threshold, horizon_s, seed)
 
 
 def fig9b_rows(ratio: float = 1.6, to_ratio: float = 4.0,
@@ -188,20 +268,24 @@ def fig9b_rows(ratio: float = 1.6, to_ratio: float = 4.0,
                horizon_s: float = 20000.0,
                seed: int = 0) -> List[RequiredDelayRow]:
     """Vary mu to fix the ratio; one bar per (p, R)."""
-    rows: List[RequiredDelayRow] = []
-    for rtt in rtts:
-        for p in losses:
-            params = FlowParams(p=p, rtt=rtt, to_ratio=to_ratio)
-            mu = mu_for_ratio(params, ratio)
-            model = DmpModel([params, params], mu=mu, tau=1.0)
-            required = model.required_startup_delay(
-                threshold=threshold, taus=REQUIRED_DELAY_GRID,
-                horizon_s=horizon_s, seed=seed)
-            rows.append(RequiredDelayRow(
-                label=f"R={rtt * 1000:g}ms,p={p:g}", p=p, rtt=rtt,
-                to_ratio=to_ratio, mu=mu, ratio=ratio,
-                required_tau=required))
-    return rows
+    flows = [FlowParams(p=p, rtt=rtt, to_ratio=to_ratio)
+             for rtt in rtts for p in losses]
+    return _homogeneous_rows(
+        [(f"R={f.rtt * 1000:g}ms,p={f.p:g}", f, mu_for_ratio(f, ratio))
+         for f in flows], ratio, threshold, horizon_s, seed)
+
+
+def _homogeneous_rows(bars: Sequence[Tuple[str, FlowParams, float]],
+                      ratio: float, threshold: float, horizon_s: float,
+                      seed: int) -> List[RequiredDelayRow]:
+    """One row per ``(label, flow, mu)`` bar: two such flows."""
+    required = required_startup_delays(
+        [DelayQuestion((params, params), mu) for _, params, mu in bars],
+        threshold=threshold, horizon_s=horizon_s, seed=seed)
+    return [RequiredDelayRow(label=label, p=params.p, rtt=params.rtt,
+                             to_ratio=params.to_ratio, mu=mu,
+                             ratio=ratio, required_tau=tau)
+            for (label, params, mu), tau in zip(bars, required)]
 
 
 # ---------------------------------------------------------------------
@@ -252,37 +336,31 @@ def fig10_rows(gammas: Sequence[float] = (1.5, 2.0),
     Case 2 with Ro in {100, 300} ms (po=0.02), each with gamma in
     {1.5, 2} and sigma_a/mu in {1.4, 1.6, 1.8}.
     """
-    scenarios: List[Tuple[int, float, float]] = []
-    for po in (0.01, 0.04):
-        scenarios.append((1, po, 0.150))
-    for ro in (0.100, 0.300):
-        scenarios.append((2, 0.02, ro))
-
-    rows: List[HeterogeneityRow] = []
+    scenarios = [(1, 0.01, 0.150), (1, 0.04, 0.150),
+                 (2, 0.02, 0.100), (2, 0.02, 0.300)]
+    cells: List[Tuple[int, float, float, Tuple[FlowParams, FlowParams],
+                      DelayQuestion, DelayQuestion]] = []
     for case, po, ro in scenarios:
         homo = FlowParams(p=po, rtt=ro, to_ratio=to_ratio)
         sigma_o = chain_throughput(homo)
+        paths = _case1_paths if case == 1 else _case2_paths
         for gamma in gammas:
-            if case == 1:
-                hetero = _case1_paths(po, ro, to_ratio, gamma)
-            else:
-                hetero = _case2_paths(po, ro, to_ratio, gamma)
+            hetero = paths(po, ro, to_ratio, gamma)
             for ratio in ratios:
                 mu = 2.0 * sigma_o / ratio
-                homo_model = DmpModel([homo, homo], mu=mu, tau=1.0)
-                hetero_model = DmpModel(list(hetero), mu=mu, tau=1.0)
-                req_homo = homo_model.required_startup_delay(
-                    threshold=threshold, taus=REQUIRED_DELAY_GRID,
-                    horizon_s=horizon_s, seed=seed)
-                req_hetero = hetero_model.required_startup_delay(
-                    threshold=threshold, taus=REQUIRED_DELAY_GRID,
-                    horizon_s=horizon_s, seed=seed)
-                rows.append(HeterogeneityRow(
-                    case=case, gamma=gamma, ratio=ratio,
-                    homo_params=homo, hetero_params=hetero, mu=mu,
-                    required_homo=req_homo,
-                    required_hetero=req_hetero))
-    return rows
+                cells.append((case, gamma, ratio, hetero,
+                              DelayQuestion((homo, homo), mu),
+                              DelayQuestion(hetero, mu)))
+    # A homogeneous question does not depend on gamma: ask it once.
+    questions = list(dict.fromkeys(
+        question for cell in cells for question in cell[4:]))
+    required = dict(zip(questions, required_startup_delays(
+        questions, threshold=threshold, horizon_s=horizon_s, seed=seed)))
+    return [HeterogeneityRow(
+        case=case, gamma=gamma, ratio=ratio, homo_params=homo_q.flows[0],
+        hetero_params=pair, mu=homo_q.mu, required_homo=required[homo_q],
+        required_hetero=required[hetero_q])
+        for case, gamma, ratio, pair, homo_q, hetero_q in cells]
 
 
 # ---------------------------------------------------------------------
@@ -298,15 +376,6 @@ class StaticComparisonRow:
     required_static: Optional[float]
 
 
-def _required_static(params: FlowParams, mu: float, threshold: float,
-                     horizon_s: float, seed: int,
-                     taus: Sequence[float]) -> Optional[float]:
-    """Required delay for the static scheme: two mu/2 sub-videos."""
-    model = SinglePathModel(params, mu=mu / 2.0, tau=1.0)
-    return model.required_startup_delay(
-        threshold=threshold, taus=taus, horizon_s=horizon_s, seed=seed)
-
-
 def fig11_rows(to_ratio: float = 4.0,
                losses: Sequence[float] = (0.004, 0.02, 0.04),
                groups: Sequence[Tuple[float, float]] = (
@@ -315,20 +384,20 @@ def fig11_rows(to_ratio: float = 4.0,
                threshold: float = DEFAULT_THRESHOLD,
                horizon_s: float = 20000.0,
                seed: int = 0) -> List[StaticComparisonRow]:
-    """Required startup delay: DMP vs static (Section 7.4)."""
-    rows: List[StaticComparisonRow] = []
-    for rtt, ratio in groups:
-        for p in losses:
-            params = FlowParams(p=p, rtt=rtt, to_ratio=to_ratio)
-            mu = mu_for_ratio(params, ratio)
-            dmp_model = DmpModel([params, params], mu=mu, tau=1.0)
-            req_dmp = dmp_model.required_startup_delay(
-                threshold=threshold, taus=REQUIRED_DELAY_GRID,
-                horizon_s=horizon_s, seed=seed)
-            req_static = _required_static(
-                params, mu, threshold, horizon_s, seed,
-                STATIC_DELAY_GRID)
-            rows.append(StaticComparisonRow(
-                p=p, rtt=rtt, ratio=ratio, mu=mu,
-                required_dmp=req_dmp, required_static=req_static))
-    return rows
+    """Required startup delay: DMP vs static (Section 7.4).
+
+    Static streaming over two homogeneous paths is two sub-videos of
+    rate mu/2, one per path: a single flow at mu/2 answers it.
+    """
+    bars = [(FlowParams(p=p, rtt=rtt, to_ratio=to_ratio), ratio)
+            for rtt, ratio in groups for p in losses]
+    mus = [mu_for_ratio(params, ratio) for params, ratio in bars]
+    required = iter(required_startup_delays(
+        [question for (params, _), mu in zip(bars, mus) for question in (
+            DelayQuestion((params, params), mu),
+            DelayQuestion((params,), mu / 2.0, STATIC_DELAY_GRID))],
+        threshold=threshold, horizon_s=horizon_s, seed=seed))
+    return [StaticComparisonRow(
+        p=params.p, rtt=params.rtt, ratio=ratio, mu=mu,
+        required_dmp=next(required), required_static=next(required))
+        for (params, ratio), mu in zip(bars, mus)]

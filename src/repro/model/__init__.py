@@ -11,14 +11,13 @@ Components
   is the early-packet count, frozen at ``Nmax = mu * tau``; provides an
   exact sparse stationary solver (small chains) and a fast
   Rao-Blackwellised Monte-Carlo solver (production scale).
-* :mod:`repro.model.singlepath` — the single-path model of [31]
-  (K = 1), which also evaluates the static streaming of Section 7.4.
+* The single-path model of [31] is the K = 1 case, ``DmpModel([flow],
+  ...)``; it also evaluates the static streaming of Section 7.4.
 * :mod:`repro.model.fluid` — the Section 7.3 alternating on/off fluid
   comparison of DMP vs single-path streaming.
 """
 
 from repro.model.dmp_model import DmpModel, LateFractionEstimate
-from repro.model.singlepath import SinglePathModel
 from repro.model.tcp_chain import FlowParams, TcpFlowChain
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "TcpFlowChain",
     "DmpModel",
     "LateFractionEstimate",
-    "SinglePathModel",
 ]

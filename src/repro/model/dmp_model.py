@@ -234,58 +234,3 @@ class DmpModel:
             for n in range(n_floor, min(0, nmax) + 1):
                 late += pi[encode(ids, n)]
         return float(late)
-
-    # ------------------------------------------------------------------
-    def required_startup_delay(self, threshold: float = 1e-4,
-                               taus: Optional[Sequence[float]] = None,
-                               horizon_s: float = 20000.0,
-                               seed: int = 0,
-                               max_seeds: int = 4) -> Optional[float]:
-        """Smallest startup delay on a grid with late fraction below
-        ``threshold`` (MC-based; None when no grid point satisfies it).
-
-        The late fraction is non-increasing in tau, so the grid is
-        scanned with bisection.  Near the threshold the estimate is
-        dominated by rare deep-deficit excursions (timeout-backoff
-        cascades), so each decision is sequential: a clearly decisive
-        single run settles it, otherwise up to ``max_seeds``
-        independent runs are pooled.
-        """
-        if taus is None:
-            taus = [float(t) for t in range(1, 41)]
-        taus = sorted(taus)
-        lo, hi = 0, len(taus) - 1
-        if not self._satisfies(taus[hi], threshold, horizon_s, seed,
-                               max_seeds):
-            return None
-        if self._satisfies(taus[lo], threshold, horizon_s, seed,
-                           max_seeds):
-            return taus[lo]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._satisfies(taus[mid], threshold, horizon_s, seed,
-                               max_seeds):
-                hi = mid
-            else:
-                lo = mid
-        return taus[hi]
-
-    def _satisfies(self, tau: float, threshold: float,
-                   horizon_s: float, seed: int,
-                   max_seeds: int = 4) -> bool:
-        """Sequential threshold test, pooling seeds when undecisive."""
-        model = self.with_tau(tau)
-        total = 0.0
-        for i in range(max(1, max_seeds)):
-            estimate = model.late_fraction_mc(
-                horizon_s=horizon_s, seed=seed + 7919 * i)
-            total += estimate.late_fraction
-            pooled = total / (i + 1)
-            # Decisive once the pooled mean sits far from the line.
-            if pooled >= 3.0 * threshold:
-                return False
-            if i >= 1 and pooled < threshold / 3.0:
-                return True
-            if i == 0 and pooled < threshold / 30.0:
-                return True
-        return pooled < threshold

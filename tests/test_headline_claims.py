@@ -8,34 +8,33 @@ full tables/figures behind them.
 
 import pytest
 
-from repro.experiments.sweep import mu_for_ratio, rtt_for_ratio
+from repro.experiments.sweep import (
+    DelayQuestion,
+    mu_for_ratio,
+    required_startup_delays,
+    rtt_for_ratio,
+)
 from repro.model.dmp_model import DmpModel
-from repro.model.singlepath import SinglePathModel
 from repro.model.tcp_chain import FlowParams
 
 # The paper's Fig-8 operating point.
 P, TO, MU = 0.02, 4.0, 25.0
 
 
-@pytest.fixture(scope="module")
-def ratio16_model():
-    rtt = rtt_for_ratio(P, TO, MU, 1.6)
-    params = FlowParams(p=P, rtt=rtt, to_ratio=TO)
-    return DmpModel([params, params], mu=MU, tau=1.0)
-
-
-def test_claim_satisfactory_at_ratio_16_with_seconds_of_delay(
-        ratio16_model):
+def test_claim_satisfactory_at_ratio_16_with_seconds_of_delay():
     """'performance is generally satisfactory when the aggregate
     achievable TCP throughput is 1.6 times the video bitrate, with a
     few seconds of startup delay' (abstract)."""
-    required = ratio16_model.required_startup_delay(
-        threshold=1e-4, horizon_s=20000, seed=0)
+    rtt = rtt_for_ratio(P, TO, MU, 1.6)
+    params = FlowParams(p=P, rtt=rtt, to_ratio=TO)
+    (required,) = required_startup_delays(
+        [DelayQuestion((params, params), MU)], threshold=1e-4,
+        horizon_s=20000, seed=0)
     assert required is not None
     assert 4.0 <= required <= 20.0  # "around 10 seconds" +- MC jitter
 
 
-def test_claim_diminishing_gain_beyond_14(ratio16_model):
+def test_claim_diminishing_gain_beyond_14():
     """'the performance improves dramatically as sigma_a/mu increases
     from 1.2 to 1.4 and less dramatically afterwards' (Sec 7.1)."""
     tau = 8.0
@@ -81,8 +80,8 @@ def test_claim_dmp_beats_static():
                      tau=tau).late_fraction_mc(
         horizon_s=15000, seed=3).late_fraction
     # Static over two homogeneous paths: two mu/2 sub-videos.
-    f_static = SinglePathModel(params, mu=mu / 2.0,
-                               tau=tau).late_fraction_mc(
+    f_static = DmpModel([params], mu=mu / 2.0,
+                        tau=tau).late_fraction_mc(
         horizon_s=15000, seed=3).late_fraction
     assert f_dmp <= f_static + 1e-9
 

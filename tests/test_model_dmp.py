@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.experiments.sweep import DelayQuestion, required_startup_delays
 from repro.model.dmp_model import DmpModel, LateFractionEstimate
 from repro.model.mc_kernel import expected_excess_array
 from repro.model.tcp_chain import FlowParams
@@ -136,9 +137,9 @@ def test_mc_invalid_horizons():
 
 def test_required_startup_delay_monotone_grid():
     model = DmpModel([TYPICAL, TYPICAL], mu=35, tau=1.0)
-    required = model.required_startup_delay(
-        threshold=1e-3, taus=[1, 2, 4, 8, 16, 32], horizon_s=8000,
-        seed=1)
+    (required,) = required_startup_delays(
+        [DelayQuestion((TYPICAL, TYPICAL), 35.0, (1, 2, 4, 8, 16, 32))],
+        threshold=1e-3, horizon_s=8000, seed=1)
     assert required is not None
     # The threshold must indeed hold at the returned delay.
     est = model.with_tau(required).late_fraction_mc(horizon_s=8000,
@@ -148,9 +149,9 @@ def test_required_startup_delay_monotone_grid():
 
 def test_required_startup_delay_none_when_unsatisfiable():
     # sigma_a/mu < 1: no startup delay suffices in steady state.
-    model = DmpModel([TYPICAL], mu=200, tau=1.0)
-    assert model.required_startup_delay(
-        threshold=1e-4, taus=[1, 2, 4], horizon_s=3000, seed=1) is None
+    assert required_startup_delays(
+        [DelayQuestion((TYPICAL,), 200.0, (1, 2, 4))],
+        threshold=1e-4, horizon_s=3000, seed=1) == [None]
 
 
 def test_with_tau_shares_chains():

@@ -36,9 +36,8 @@ from repro.model.mc_kernel import (
     compiled_model,
     expected_excess_array,
 )
-from repro.model.singlepath import SinglePathModel
 from repro.model.tcp_chain import FlowParams, TcpFlowChain
-from tests import mc_reference
+from tests import mc_reference, required_delay_reference
 from tests.exact_oracle import (
     SEED,
     SMALL,
@@ -206,12 +205,14 @@ class TestStationaryEquivalence:
         # Fig 11 evaluates the static scheme on two homogeneous paths
         # as two mu/2 single-path sub-videos, each a kernel solve.
         taus = (1.0, 2.0, 4.0, 8.0)
-        half = SinglePathModel(FAST, mu=8.0, tau=1.0)
+        half = DmpModel([FAST], mu=8.0, tau=1.0)
         assert half.late_fraction_mc(horizon_s=4000, seed=2).method \
             == "mc"
-        required = sweep._required_static(FAST, 16.0, 1e-2, 4000, 2, taus)
-        assert required == half.required_startup_delay(
-            threshold=1e-2, taus=taus, horizon_s=4000, seed=2)
+        (required,) = sweep.required_startup_delays(
+            [sweep.DelayQuestion((FAST,), 16.0 / 2.0, taus)],
+            threshold=1e-2, horizon_s=4000, seed=2)
+        assert required == required_delay_reference.required_startup_delay(
+            half, threshold=1e-2, taus=taus, horizon_s=4000, seed=2)
         assert required == 8.0
 
     def test_vectorized_is_deterministic(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.experiments.sweep import DelayQuestion, required_startup_delays
 from repro.model.dmp_model import DmpModel
 from repro.model.mc_kernel import compiled_model
 from repro.model.tcp_chain import FlowParams
@@ -83,11 +84,13 @@ def test_invalid_loss_model_rejected():
 
 
 def test_satisfies_sequential_decisions():
-    model = DmpModel([SMALL, SMALL], mu=5.0, tau=3.0)
+    # On a one-point grid the required delay is that point exactly
+    # when its sequential threshold test is satisfied.
     # Clearly satisfiable: decided quickly, True.
-    assert model._satisfies(3.0, threshold=1e-2, horizon_s=3000,
-                            seed=1)
+    assert required_startup_delays(
+        [DelayQuestion((SMALL, SMALL), 5.0, (3.0,))], threshold=1e-2,
+        horizon_s=3000, seed=1) == [3.0]
     # Clearly unsatisfiable at huge mu.
-    bad = DmpModel([SMALL], mu=100.0, tau=1.0)
-    assert not bad._satisfies(1.0, threshold=1e-4, horizon_s=2000,
-                              seed=1)
+    assert required_startup_delays(
+        [DelayQuestion((SMALL,), 100.0, (1.0,))], threshold=1e-4,
+        horizon_s=2000, seed=1) == [None]

@@ -1,4 +1,5 @@
-"""Tests for the single-path model, static evaluation and fluid model."""
+"""Tests for the single-path model (the K = 1 ``DmpModel``), static
+evaluation and the fluid model."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from repro.model.fluid import (
     late_fraction_from_trace,
     single_path_scenario,
 )
-from repro.model.singlepath import SinglePathModel
+from repro.model.dmp_model import DmpModel
 from repro.model.tcp_chain import FlowParams
 
 TYPICAL = FlowParams(p=0.02, rtt=0.15, to_ratio=2.0)
@@ -21,7 +22,7 @@ TYPICAL = FlowParams(p=0.02, rtt=0.15, to_ratio=2.0)
 # Single-path model ([31], K = 1)
 # ------------------------------------------------------------------
 def test_single_path_is_k1():
-    model = SinglePathModel(TYPICAL, mu=20, tau=2.0)
+    model = DmpModel([TYPICAL], mu=20, tau=2.0)
     assert len(model.chains) == 1
     est = model.late_fraction_mc(horizon_s=5000, seed=1)
     assert 0.0 <= est.late_fraction <= 1.0
@@ -31,9 +32,7 @@ def test_single_path_needs_higher_ratio_than_dmp():
     """The paper's headline: two paths at ratio 1.6 are satisfactory
     where one path needs ratio ~2 — at equal ratio and tau, single-path
     is at least as bad as DMP on two half-rate paths."""
-    from repro.model.dmp_model import DmpModel
-    sigma = SinglePathModel(TYPICAL, mu=1,
-                            tau=1).aggregate_throughput()
+    sigma = DmpModel([TYPICAL], mu=1, tau=1).aggregate_throughput()
     ratio = 1.5
     mu = 2 * sigma / ratio
     tau = 6.0
@@ -43,7 +42,7 @@ def test_single_path_needs_higher_ratio_than_dmp():
     # Single path with the same aggregate throughput: one flow with
     # half the RTT (twice the throughput of one path).
     fast = TYPICAL.scaled_rtt(TYPICAL.rtt / 2.0)
-    single = SinglePathModel(fast, mu=mu, tau=tau)
+    single = DmpModel([fast], mu=mu, tau=tau)
     assert single.aggregate_throughput() == pytest.approx(
         dmp.aggregate_throughput(), rel=1e-9)
     f_single = single.late_fraction_mc(horizon_s=30000,
@@ -56,13 +55,12 @@ def test_single_path_needs_higher_ratio_than_dmp():
 # ------------------------------------------------------------------
 def test_dmp_no_worse_than_static_homogeneous():
     """Fig. 11's message: DMP needs less buffer than static."""
-    from repro.model.dmp_model import DmpModel
     mu, tau = 30.0, 4.0
     dmp = DmpModel([TYPICAL, TYPICAL], mu=mu, tau=tau)
     f_dmp = dmp.late_fraction_mc(horizon_s=20000, seed=5).late_fraction
     # Static over two homogeneous paths: two mu/2 sub-videos.
-    f_static = SinglePathModel(TYPICAL, mu=mu / 2.0,
-                               tau=tau).late_fraction_mc(
+    f_static = DmpModel([TYPICAL], mu=mu / 2.0,
+                        tau=tau).late_fraction_mc(
         horizon_s=20000, seed=5).late_fraction
     assert f_dmp <= f_static + 1e-6
 

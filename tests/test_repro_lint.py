@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -35,7 +36,7 @@ STRICT_PATHS = ["src/repro/sim", "src/repro/obs",
                 "src/repro/experiments/runner.py",
                 "src/repro/experiments/scenarios.py",
                 "src/repro/experiments/measure.py",
-                "src/repro/model/singlepath.py",
+                "src/repro/experiments/report.py",
                 "src/repro/model/fluid.py",
                 "src/repro/model/meanfield.py",
                 "src/repro/model/mc_kernel.py",
@@ -46,6 +47,7 @@ STRICT_PATHS = ["src/repro/sim", "src/repro/obs",
                 "src/repro/core/client.py",
                 "src/repro/core/assembly.py",
                 "src/repro/core/campaign.py",
+                "src/repro/core/source.py",
                 "src/repro/core/streamers.py",
                 "src/repro/tcp/reno.py",
                 "src/repro/tcp/receiver.py",
@@ -867,6 +869,36 @@ def test_strict_modules_are_fully_annotated():
                     problems.append(
                         f"{where} {node.name}: *{arg.arg} unannotated")
     assert problems == [], "\n" + "\n".join(problems)
+
+
+def _strict_module_names(paths):
+    """``src/repro/a/b.py`` -> ``repro.a.b``; a package dir -> ``.*``."""
+    names = set()
+    for rel in paths:
+        dotted = rel[len("src/"):].replace("/", ".")
+        names.add(dotted[:-len(".py")] if dotted.endswith(".py")
+                  else dotted + ".*")
+    return names
+
+
+def test_strict_lists_name_the_same_modules():
+    """``STRICT_PATHS``, the ``pyproject.toml`` strict override and the
+    CI strict step are one list kept in three places.  Both files are
+    read as text: Python 3.10 has no ``tomllib``."""
+    pyproject = open(os.path.join(REPO, "pyproject.toml"),
+                     encoding="utf-8").read()
+    (strict_block,) = [
+        block for block in pyproject.split("[[tool.mypy.overrides]]")
+        if "ignore_errors = false" in block]
+    in_pyproject = set(re.findall(
+        r'"(repro[\w.*]*)"', strict_block.split("]")[0]))
+    workflow = open(os.path.join(REPO, ".github", "workflows", "ci.yml"),
+                    encoding="utf-8").read()
+    strict_step = workflow.split("mypy --strict", 1)[1].split("\n\n")[0]
+    in_ci = re.findall(r"src/repro/[\w/]+(?:\.py)?", strict_step)
+    assert _strict_module_names(STRICT_PATHS) == in_pyproject
+    assert _strict_module_names(in_ci) == in_pyproject
+    assert len(in_ci) == len(STRICT_PATHS) == len(in_pyproject)
 
 
 def test_mypy_strict_passes_when_available():
