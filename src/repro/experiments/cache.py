@@ -1,9 +1,11 @@
 """On-disk result cache for simulated replications and model solves.
 
-Every replication of :func:`repro.experiments.runner.run_setting` is a
-pure function of ``(Setting, duration, scheme, seed, send buffer)`` —
-the simulator is deterministic given its seed — so its result can be
-memoised across processes and invocations.  The cache stores one JSON
+Every packet run is a pure function of what it is built from — a
+:class:`~repro.experiments.parallel.RunSpec`: mu, duration, the paths
+(bottleneck link and background load each), the seed and the
+:func:`~repro.experiments.scenarios.build_run` options; the simulator
+is deterministic given its seed — so its result can be memoised across
+processes and invocations.  The cache stores one JSON
 record per simulation run (and per model Monte-Carlo solve) under a
 content-addressed filename::
 
@@ -95,7 +97,11 @@ if TYPE_CHECKING:  # pragma: no cover
 #: v13: ``RunSpec`` lost its unkeyed ``counters`` flag and run records
 #: their ``counters``; the payload bytes are unchanged, bumped per the
 #: RL004 diff policy.
-CODE_VERSION = 13
+#: v14: run keys hash what a run is built from — mu, duration, every
+#: ``PathConfig`` field, seed and the ``build_run`` options — instead
+#: of a setting's name and config indices, so an edited config table
+#: can no longer serve a record simulated on the old one.
+CODE_VERSION = 14
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
@@ -196,22 +202,16 @@ class ResultCache:
     # -- keys ----------------------------------------------------------
     @staticmethod
     def run_key_payload(spec: "RunSpec") -> Dict[str, Any]:
-        """The full identity of one simulation run (see RunSpec)."""
-        setting = spec.setting
+        """The full identity of one simulation run: every input
+        :func:`~repro.experiments.parallel.simulate_run` builds it from."""
         return {
             "kind": "run",
             "version": CODE_VERSION,
-            "setting": {
-                "name": setting.name,
-                "configs": list(setting.configs),
-                "mu": setting.mu,
-                "shared_bottleneck": setting.shared_bottleneck,
-                "queue_discipline": setting.queue_discipline,
-            },
+            "mu": spec.mu,
             "duration_s": spec.duration_s,
-            "scheme": spec.scheme,
+            "paths": [asdict(path) for path in spec.paths],
             "seed": spec.seed,
-            "send_buffer_pkts": spec.send_buffer_pkts,
+            "options": dict(spec.options),
         }
 
     def run_key(self, spec: "RunSpec") -> str:

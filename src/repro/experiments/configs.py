@@ -16,7 +16,7 @@ DESIGN.md and EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sim.topology import BottleneckSpec, PathConfig
 
@@ -85,11 +85,8 @@ class Setting:
     shared_bottleneck: bool = False
     queue_discipline: str = "droptail"
 
-    def path_configs(self,
-                     table: Optional[Dict[int, LinkConfig]] = None) \
-            -> List[PathConfig]:
-        table = table if table is not None else CALIBRATED_CONFIGS
-        return [table[i].path_config for i in self.configs]
+    def path_configs(self) -> List[PathConfig]:
+        return [CALIBRATED_CONFIGS[i].path_config for i in self.configs]
 
 
 # Section 5.2.1 — independent homogeneous paths (mu from Table 2).

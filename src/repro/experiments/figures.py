@@ -9,12 +9,14 @@ regenerates every committed artefact.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.campaign import MultiSessionCampaign
 from repro.core.client import StreamClient
 from repro.core.metrics import late_fraction
 from repro.core.source import VideoSource
 from repro.core.streamers import DmpStreamer
-from repro.experiments.cache import resolve_cache
+from repro.experiments.cache import resolve_cache, run_late_fractions
 from repro.experiments.configs import (
     CALIBRATED_CONFIGS,
     CORRELATED_SETTINGS,
@@ -31,7 +33,9 @@ from repro.experiments.report import render_series, render_table
 from repro.experiments.runner import (
     ScaleProfile,
     fetch_estimates,
+    fetch_records,
     run_setting,
+    setting_run_spec,
 )
 from repro.experiments.sweep import (
     DelayQuestion,
@@ -489,27 +493,17 @@ def build_ablation_queue(profile: ScaleProfile) -> str:
     ``queue_discipline`` session axis and compares the measured
     loss-event rate and the late fraction at two startup delays.
     """
-    mu, taus = 50.0, (4.0, 8.0)
-    config = CALIBRATED_CONFIGS[2]
-    paths = [config.path_config, config.path_config]
+    setting = HOMOGENEOUS_SETTINGS["2-2"]
     rows = []
     for discipline in QUEUE_DISCIPLINES:
-        lates = {tau: [] for tau in taus}
-        ps = []
-        for run_idx in range(profile.runs):
-            session = MultiSessionCampaign(
-                mu=mu, duration_s=profile.duration_s, paths=paths,
-                scheme="dmp", seed=440 + run_idx,
-                queue_discipline=discipline)
-            (result,) = session.run().sessions
-            for tau in taus:
-                lates[tau].append(result.late_fraction(tau))
-            ps.append(result.flow_stats[0]["loss_event_estimate"])
+        run = run_setting(replace(setting, queue_discipline=discipline),
+                          taus=(4.0, 8.0), profile=profile, seed0=440,
+                          run_model=False)
         rows.append([
             discipline,
-            f"{sum(ps) / len(ps):.4f}",
-            f"{sum(lates[4.0]) / len(lates[4.0]):.3e}",
-            f"{sum(lates[8.0]) / len(lates[8.0]):.3e}",
+            f"{run.measured[0]['p']:.4f}",
+            f"{run.point(4.0).sim_mean:.3e}",
+            f"{run.point(8.0).sim_mean:.3e}",
         ])
     return render_table(
         ["bottleneck queue", "video p (events)", "late frac tau=4",
@@ -563,10 +557,9 @@ def build_ablation_lossmodel(profile: ScaleProfile) -> str:
     run = run_setting(setting, taus=taus, profile=profile,
                       seed0=550, run_model=False)
 
-    variants = {loss_model: tuple(
-        FlowParams(p=max(m["p"], 1e-4), rtt=m["rtt"],
-                   to_ratio=max(m["to"], 1.0), loss_model=loss_model)
-        for m in run.measured) for loss_model in ("bursty", "sparse")}
+    variants = {loss_model: tuple(replace(flow, loss_model=loss_model)
+                                  for flow in run.flow_params)
+                for loss_model in ("bursty", "sparse")}
     estimates = iter(fetch_estimates(
         [ModelTask(flows=flows, mu=setting.mu, tau=tau,
                    horizon_s=profile.model_horizon_s, seed=550)
@@ -604,21 +597,19 @@ def build_ablation_tcp_variant(profile: ScaleProfile) -> str:
     """
     taus = (4.0, 6.0, 8.0)
     setting = HOMOGENEOUS_SETTINGS["2-2"]
-    paths = setting.path_configs()
+    variants = ("reno", "newreno", "sack")
+    records = iter(fetch_records(
+        [setting_run_spec(setting, profile.duration_s, 660 + run_idx,
+                          scheme="dmp", tcp_variant=variant)
+         for variant in variants for run_idx in range(profile.runs)],
+        resolve_cache(None), ReplicationExecutor()))
     rows = []
-    for variant in ("reno", "newreno", "sack"):
-        lates = {tau: [] for tau in taus}
-        timeouts = []
-        for run_idx in range(profile.runs):
-            session = MultiSessionCampaign(
-                mu=setting.mu, duration_s=profile.duration_s,
-                paths=paths, scheme="dmp", seed=660 + run_idx,
-                tcp_variant=variant)
-            (result,) = session.run().sessions
-            for tau in taus:
-                lates[tau].append(result.late_fraction(tau))
-            timeouts.append(sum(s["timeouts"]
-                                for s in result.flow_stats))
+    for variant in variants:
+        runs = [next(records) for _ in range(profile.runs)]
+        timeouts = [sum(s["timeouts"] for s in record["flow_stats"])
+                    for record in runs]
+        lates = {tau: [run_late_fractions(record, setting.mu, tau)[0][0]
+                       for record in runs] for tau in taus}
         rows.append([
             variant,
             f"{sum(timeouts) / len(timeouts):.1f}",

@@ -26,21 +26,35 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.experiments.parallel import ReplicationExecutor
+from repro.experiments.cache import resolve_cache, run_late_fractions
+from repro.experiments.parallel import (
+    ModelTask,
+    ReplicationExecutor,
+    RunSpec,
+)
 from repro.experiments.runner import (
     ScaleProfile,
+    check_taus,
+    fetch_estimates,
+    fetch_records,
     measured_model_inputs,
     scale_profile,
 )
-from repro.experiments.scenarios import build_run
-from repro.model.dmp_model import DmpModel
 from repro.sim.topology import BottleneckSpec, PathConfig
 
 INTERNET_SEGMENT_BYTES = 1448
 DEFAULT_TAUS = (4.0, 6.0, 8.0, 10.0)
+
+# Wide-area paths have a large bandwidth-delay product; the default
+# 16-packet send buffer would cap the in-flight window below fair
+# share (and hide the true loss rate from the measurement), so size it
+# to cover the largest path BDP.
+INTERNET_OPTIONS = (("scheme", "dmp"),
+                    ("segment_bytes", INTERNET_SEGMENT_BYTES),
+                    ("send_buffer_pkts", 48))
 
 
 @dataclass(frozen=True)
@@ -50,7 +64,7 @@ class InternetExperimentResult:
     index: int
     kind: str                  # "homogeneous" or "heterogeneous"
     mu: float
-    measured: List[dict]
+    measured: List[Dict[str, float]]
     sim_late: Dict[float, float]
     sim_arrival_order_late: Dict[float, float]
     model_late: Dict[float, float]
@@ -74,60 +88,6 @@ def _hefei_path(rng: random.Random) -> PathConfig:
         n_ftp=rng.randint(1, 2), n_http=rng.randint(8, 15))
 
 
-@dataclass(frozen=True)
-class _ExperimentSpec:
-    """One emulated experiment, fully determined and picklable."""
-
-    index: int
-    kind: str
-    mu: float
-    paths: tuple
-    duration_s: float
-    seed: int
-    taus: tuple
-    model_horizon_s: float
-    model_seed: int
-
-
-def _run_experiment(spec: _ExperimentSpec) -> InternetExperimentResult:
-    """Execute one experiment (worker-safe top-level function)."""
-    tel = telemetry.current()
-    with tel.span("internet.experiment", label=spec.kind,
-                  index=spec.index, mu=spec.mu, seed=spec.seed):
-        return _run_experiment_body(spec)
-
-
-def _run_experiment_body(spec: _ExperimentSpec) \
-        -> InternetExperimentResult:
-    # Wide-area paths have a large bandwidth-delay product; the
-    # default 16-packet send buffer would cap the in-flight window
-    # below fair share (and hide the true loss rate from the
-    # measurement), so size it to cover the largest path BDP.
-    (run,) = build_run(
-        spec.mu, spec.duration_s, list(spec.paths), scheme="dmp",
-        seed=spec.seed, segment_bytes=INTERNET_SEGMENT_BYTES,
-        send_buffer_pkts=48).run().sessions
-
-    measured, flow_params = measured_model_inputs([run.flow_stats])
-
-    sim_late = {}
-    sim_ao = {}
-    model_late = {}
-    for tau in spec.taus:
-        metrics = run.metrics(tau)
-        sim_late[tau] = metrics.late_fraction
-        sim_ao[tau] = metrics.arrival_order_late_fraction
-        model = DmpModel(flow_params, mu=spec.mu, tau=tau)
-        estimate = model.late_fraction_mc(
-            horizon_s=spec.model_horizon_s, seed=spec.model_seed)
-        model_late[tau] = estimate.late_fraction
-
-    return InternetExperimentResult(
-        index=spec.index, kind=spec.kind, mu=spec.mu,
-        measured=measured, sim_late=sim_late,
-        sim_arrival_order_late=sim_ao, model_late=model_late)
-
-
 def run_internet_experiments(
         n_experiments: int = 10,
         taus: Sequence[float] = DEFAULT_TAUS,
@@ -142,45 +102,69 @@ def run_internet_experiments(
     in the paper.  Durations scale with the profile (the paper used
     3,000 s per experiment; ``paper`` profile restores that).
 
-    All path parameters are drawn up front from one seeded stream, so
-    fanning the experiments out over processes (``max_workers`` > 1 or
-    the configured default) changes nothing in the results.
+    All path parameters are drawn up front from one seeded stream.
+    The runs (seed ``seed + 17*index``) are one batch of cached
+    replications and the model solves (seed ``seed + 31*index``) one
+    batch of cached solves, both fanned out over ``max_workers`` (or
+    the configured default) without changing any result.
     """
+    float_taus = check_taus(taus)
     if profile is None:
         profile = scale_profile()
     duration = {"quick": 300.0, "full": 900.0,
                 "paper": 3000.0}.get(profile.name, profile.duration_s)
 
-    specs: List[_ExperimentSpec] = []
+    kinds: List[str] = []
+    specs: List[RunSpec] = []
     rng = random.Random(seed)
     for index in range(n_experiments):
-        heterogeneous = index % 2 == 1
-        if heterogeneous:
+        paths: Tuple[PathConfig, ...]
+        if index % 2 == 1:
             paths = (_sf_adsl_path(rng), _hefei_path(rng))
             mu = 100.0
-            kind = "heterogeneous"
+            kinds.append("heterogeneous")
         else:
             paths = (_sf_adsl_path(rng), _sf_adsl_path(rng))
             mu = rng.choice([25.0, 50.0])
-            kind = "homogeneous"
-        specs.append(_ExperimentSpec(
-            index=index, kind=kind, mu=mu, paths=paths,
-            duration_s=duration, seed=seed + 17 * index,
-            taus=tuple(taus),
-            model_horizon_s=profile.model_horizon_s,
-            model_seed=seed + 31 * index))
+            kinds.append("homogeneous")
+        specs.append(RunSpec(mu, duration, paths, seed + 17 * index,
+                             INTERNET_OPTIONS))
 
+    cache = resolve_cache(None)
     executor = ReplicationExecutor(max_workers=max_workers)
     tel = telemetry.current()
     with tel.span("internet.campaign", experiments=n_experiments,
                   seed=seed):
-        return executor.map(_run_experiment, specs)
+        records = fetch_records(specs, cache, executor)
+        inputs = [measured_model_inputs([record["flow_stats"]])
+                  for record in records]
+        estimates = iter(fetch_estimates(
+            [ModelTask(flows=tuple(flow_params), mu=spec.mu, tau=tau,
+                       horizon_s=profile.model_horizon_s,
+                       seed=seed + 31 * index)
+             for index, (spec, (_, flow_params))
+             in enumerate(zip(specs, inputs)) for tau in float_taus],
+            cache, executor))
+
+    results: List[InternetExperimentResult] = []
+    for index, (kind, spec, record, (measured, _)) in enumerate(
+            zip(kinds, specs, records, inputs)):
+        late = {tau: run_late_fractions(record, spec.mu, tau)[0]
+                for tau in float_taus}
+        results.append(InternetExperimentResult(
+            index=index, kind=kind, mu=spec.mu, measured=measured,
+            sim_late={tau: lf for tau, (lf, _) in late.items()},
+            sim_arrival_order_late={tau: ao
+                                    for tau, (_, ao) in late.items()},
+            model_late={tau: next(estimates).late_fraction
+                        for tau in float_taus}))
+    return results
 
 
-def scatter_points(results: Sequence[InternetExperimentResult]) -> \
-        List[tuple]:
-    """(measurement, model) pairs for the Fig.-7b scatter plot."""
-    points = []
+def scatter_points(results: Sequence[InternetExperimentResult]) \
+        -> List[Tuple[float, float, float]]:
+    """(tau, measurement, model) triples for the Fig.-7b scatter plot."""
+    points: List[Tuple[float, float, float]] = []
     for result in results:
         for tau in sorted(result.sim_late):
             points.append((tau, result.sim_late[tau],

@@ -3,7 +3,7 @@
 The paper's methodology is 30 replications x 10,000 simulated seconds
 per setting; each replication is an independent pure function of its
 seed, so the natural unit of parallelism is one packet run (one
-:class:`~repro.core.campaign.MultiSessionCampaign`) and, on the model
+:func:`~repro.experiments.scenarios.build_run`) and, on the model
 side, one ``late_fraction_mc`` solve per startup delay.
 :class:`ReplicationExecutor` fans those units out over a
 ``concurrent.futures.ProcessPoolExecutor``.
@@ -46,10 +46,10 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
 
 from repro import telemetry
 from repro.experiments.cache import session_record
-from repro.experiments.configs import Setting
 from repro.experiments.scenarios import build_run
 from repro.model.dmp_model import DmpModel, LateFractionEstimate
 from repro.model.tcp_chain import FlowParams
+from repro.sim.topology import PathConfig
 
 ENV_WORKERS = "REPRO_WORKERS"
 
@@ -59,13 +59,16 @@ R = TypeVar("R")
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything needed to (re)build one replication, picklable."""
+    """Everything one replication is built from, picklable: the
+    arguments of :func:`~repro.experiments.scenarios.build_run`, with
+    its keyword arguments (``scheme``, ``queue_discipline``...) as
+    sorted ``(name, value)`` pairs in ``options``."""
 
-    setting: Setting
+    mu: float
     duration_s: float
-    scheme: str
+    paths: Tuple[PathConfig, ...]
     seed: int
-    send_buffer_pkts: int
+    options: Tuple[Tuple[str, Any], ...]
 
 
 @dataclass(frozen=True)
@@ -86,18 +89,11 @@ def simulate_run(spec: RunSpec) -> Dict[str, Any]:
     :mod:`repro.experiments.cache`): the session's per-flow stats and
     arrivals, which answer every startup delay.
     """
-    setting = spec.setting
     tel = telemetry.current()
-    with tel.span("replication", label=setting.name,
-                  scheme=spec.scheme, seed=spec.seed,
+    with tel.span("replication", seed=spec.seed,
                   duration_s=spec.duration_s):
-        run = build_run(
-            setting.mu, spec.duration_s, setting.path_configs(),
-            scheme=spec.scheme,
-            shared_bottleneck=setting.shared_bottleneck,
-            queue_discipline=setting.queue_discipline, seed=spec.seed,
-            send_buffer_pkts=spec.send_buffer_pkts)
-        result = run.run()
+        result = build_run(spec.mu, spec.duration_s, spec.paths,
+                           seed=spec.seed, **dict(spec.options)).run()
         return {
             "flow_stats": [stats for s in result.sessions
                            for stats in s.flow_stats],

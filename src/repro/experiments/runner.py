@@ -201,10 +201,11 @@ def _through_cache(items: Sequence[T], get: Callable[[T], Optional[R]],
     ``compute`` the misses and ``put`` each, in item order."""
     found: List[Optional[R]] = [get(item) for item in items]
     missing = [idx for idx, hit in enumerate(found) if hit is None]
-    for idx, result in zip(missing,
-                           compute([items[idx] for idx in missing])):
-        found[idx] = result
-        put(items[idx], result)
+    if missing:
+        for idx, result in zip(missing,
+                               compute([items[idx] for idx in missing])):
+            found[idx] = result
+            put(items[idx], result)
     return [result for result in found if result is not None]
 
 
@@ -228,6 +229,17 @@ def fetch_estimates(tasks: Sequence[ModelTask],
         return executor.solve_models(tasks)
     return _through_cache(tasks, cache.get_model, cache.put_model,
                           executor.solve_models)
+
+
+def setting_run_spec(setting: Setting, duration_s: float, seed: int,
+                     **options: Any) -> RunSpec:
+    """One run of ``setting``: its paths on its topology (Fig. 3, or
+    Fig. 6 when ``shared_bottleneck``) and bottleneck discipline, plus
+    the :func:`~repro.experiments.scenarios.build_run` ``options``."""
+    options.update(shared_bottleneck=setting.shared_bottleneck,
+                   queue_discipline=setting.queue_discipline)
+    return RunSpec(setting.mu, duration_s, tuple(setting.path_configs()),
+                   seed, tuple(sorted(options.items())))
 
 
 def measured_model_inputs(flow_stats: Sequence[Sequence[Dict[str, Any]]]) \
@@ -284,9 +296,9 @@ def run_setting(setting: Setting,
     with tel.span("setting", label=setting.name, scheme=scheme,
                   profile=profile.name, runs=profile.runs,
                   taus=len(float_taus)):
-        specs = [RunSpec(setting=setting, duration_s=profile.duration_s,
-                         scheme=scheme, seed=seed0 + run,
-                         send_buffer_pkts=send_buffer_pkts)
+        specs = [setting_run_spec(setting, profile.duration_s, seed0 + run,
+                                  scheme=scheme,
+                                  send_buffer_pkts=send_buffer_pkts)
                  for run in range(profile.runs)]
         resolved = resolve_cache(cache)
         records = fetch_records(specs, resolved, executor)

@@ -97,7 +97,6 @@ NAMES: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "replication": ("span", (), "One simulate_run() replication"),
     "solve": ("span", (), "One solve_model() Monte-Carlo solve"),
     "internet.campaign": ("span", (), "run_internet_experiments()"),
-    "internet.experiment": ("span", (), "One internet experiment"),
     "sweep.fig8": ("span", (), "fig8_curves() model grid"),
     "mc.compile": ("span", (), "MC kernel one-time table compile"),
     "mc.run": ("span", (), "MC kernel solve loop (label: mode)"),

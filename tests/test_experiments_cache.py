@@ -12,9 +12,13 @@ from repro.experiments.cache import (
     ResultCache,
     resolve_cache,
 )
-from repro.experiments.configs import Setting
+from repro.experiments import parallel
+from repro.experiments.configs import CALIBRATED_CONFIGS, Setting
+from repro.experiments.figures import build_ablation_tcp_variant
+from repro.experiments.internet import run_internet_experiments
 from repro.experiments.parallel import ModelTask, RunSpec
-from repro.experiments.runner import ScaleProfile, run_setting
+from repro.experiments.runner import (ScaleProfile, run_setting,
+                                      setting_run_spec)
 from repro.model.dmp_model import LateFractionEstimate
 from repro.model.tcp_chain import FlowParams
 
@@ -31,10 +35,9 @@ RECORD = {"flow_stats": [{"mean_rtt": 0.1}],
 
 
 def _spec(**overrides):
-    base = dict(setting=SETTING, duration_s=40.0, scheme="dmp",
-                seed=7, send_buffer_pkts=16)
-    base.update(overrides)
-    return RunSpec(**base)
+    spec = setting_run_spec(SETTING, 40.0, 7, scheme="dmp",
+                            send_buffer_pkts=16)
+    return dataclasses.replace(spec, **overrides)
 
 
 def _write_raw(cache, key, payload):
@@ -119,21 +122,52 @@ def test_put_run_is_a_plain_write(cache):
 # ---------------------------------------------------------------------
 # Key sensitivity
 # ---------------------------------------------------------------------
+#: A different value for each ``build_run`` option the specs carry.
+OTHER_OPTIONS = {"queue_discipline": "pie", "scheme": "static",
+                 "send_buffer_pkts": 17, "shared_bottleneck": True}
+
+
+def _bumped(obj, name):
+    """``obj`` with its dataclass field ``name`` raised by one."""
+    return dataclasses.replace(obj, **{name: getattr(obj, name) + 1})
+
+
+def _path_variants(path):
+    """``path`` with each PathConfig/BottleneckSpec field changed."""
+    return [dataclasses.replace(path, bottleneck=_bumped(
+                path.bottleneck, field.name))
+            for field in dataclasses.fields(path.bottleneck)] \
+        + [_bumped(path, field.name)
+           for field in dataclasses.fields(path)
+           if field.name != "bottleneck"]
+
+
 def test_run_key_sensitive_to_every_field(cache):
-    base = _spec()
-    variants = [
-        _spec(setting=Setting("4-4x", (4, 4), mu=80)),
-        _spec(setting=Setting("4-4", (4, 3), mu=80)),
-        _spec(setting=Setting("4-4", (4, 4), mu=81)),
-        _spec(setting=Setting("4-4", (4, 4), mu=80,
-                              shared_bottleneck=True)),
-        _spec(setting=Setting("4-4", (4, 4), mu=80,
-                              queue_discipline="pie")),
-        _spec(duration_s=41.0),
-        _spec(scheme="static"),
-        _spec(seed=8),
-        _spec(send_buffer_pkts=17),
+    """Every input a run is built from is in its key: each field of
+    each path, the paths' order and count, mu, duration, seed, and each
+    option's value and presence."""
+    first, second = (CALIBRATED_CONFIGS[i].path_config for i in (1, 4))
+    base = _spec(paths=(first, second))
+    assert set(dict(base.options)) == set(OTHER_OPTIONS)
+    variants = [dataclasses.replace(base, paths=(path, second))
+                for path in _path_variants(first)]
+    variants += [dataclasses.replace(base, paths=(first, path))
+                 for path in _path_variants(second)]
+    variants += [
+        dataclasses.replace(base, paths=(second, first)),
+        dataclasses.replace(base, paths=(first,)),
+        dataclasses.replace(base, paths=(first, second, second)),
+        dataclasses.replace(base, mu=81.0),
+        dataclasses.replace(base, duration_s=41.0),
+        dataclasses.replace(base, seed=8),
+        dataclasses.replace(base, options=base.options[1:]),
+        dataclasses.replace(base, options=tuple(sorted(
+            base.options + (("tcp_variant", "sack"),)))),
     ]
+    variants += [dataclasses.replace(base, options=tuple(
+        (name, OTHER_OPTIONS[name] if name == changed else value)
+        for name, value in base.options)) for changed in OTHER_OPTIONS]
+    assert len(variants) == 2 * 5 + 8 + 4
     keys = {cache.run_key(spec) for spec in variants}
     keys.add(cache.run_key(base))
     assert len(keys) == len(variants) + 1  # all distinct
@@ -141,12 +175,36 @@ def test_run_key_sensitive_to_every_field(cache):
 
 def test_run_key_separates_queue_disciplines(cache):
     """Every AQM variant of one setting gets its own sha256 key."""
-    keys = {cache.run_key(_spec(setting=dataclasses.replace(
-        SETTING, queue_discipline=d)))
+    keys = {cache.run_key(setting_run_spec(dataclasses.replace(
+        SETTING, queue_discipline=d), 40.0, 7))
         for d in ("droptail", "red", "pie", "fq-pie")}
     assert len(keys) == 4
     payload = cache.run_key_payload(_spec())
-    assert payload["setting"]["queue_discipline"] == "droptail"
+    assert payload["options"]["queue_discipline"] == "droptail"
+
+
+def test_edited_config_table_changes_run_keys(cache, monkeypatch):
+    """A run is keyed by its paths' contents, not by the setting's
+    config indices: after an edit to a ``CALIBRATED_CONFIGS`` entry,
+    ``run_setting`` simulates again instead of reading the records
+    simulated on the old entry."""
+    simulated = []
+
+    def fake_simulate(spec):
+        simulated.append(cache.run_key(spec))
+        return {"flow_stats": [{"loss_event_estimate": 0.01,
+                                "mean_rtt": 0.1,
+                                "timeout_ratio": 2.0}] * 2,
+                "sessions": RECORD["sessions"]}
+
+    monkeypatch.setattr(parallel, "simulate_run", fake_simulate)
+    for bandwidth_mbps in (CALIBRATED_CONFIGS[4].bandwidth_mbps, 6.0):
+        monkeypatch.setitem(CALIBRATED_CONFIGS, 4, dataclasses.replace(
+            CALIBRATED_CONFIGS[4], bandwidth_mbps=bandwidth_mbps))
+        run_setting(SETTING, taus=(2.0,), profile=SHORT, seed0=7,
+                    run_model=False, max_workers=1, cache=cache)
+    assert len(set(simulated)) == len(simulated) == 2 * SHORT.runs
+    assert cache.hits == 0
 
 
 def test_queue_discipline_axis_forced_a_version_bump():
@@ -294,6 +352,34 @@ def test_warm_cache_skips_all_simulation(cache, monkeypatch):
              pt.sim_arrival_order_mean) for pt in warm.points] \
         == [(pt.tau, pt.sim_mean, pt.sim_ci95,
              pt.sim_arrival_order_mean) for pt in cold.points]
+
+
+def _no_work(item):
+    raise AssertionError("a warm re-run must not simulate or solve")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: run_internet_experiments(n_experiments=2, taus=(1.0, 4.0),
+                                     profile=SHORT, seed=11),
+    lambda: build_ablation_tcp_variant(ScaleProfile(
+        "one", runs=1, duration_s=10.0, model_horizon_s=0.0)),
+], ids=["fig7", "ablation_tcp_variant"])
+def test_warm_rerun_reads_every_run_and_solve(tmp_path, monkeypatch,
+                                              build):
+    """Fig 7 and the TCP-variant ablation read their runs (and Fig 7
+    its model solves) from the configured cache: a warm re-run
+    simulates and solves nothing and gives the same result."""
+    cache_mod.configure(enabled=True, directory=str(tmp_path))
+    try:
+        cold = build()
+        cache = cache_mod.default_cache()
+        assert cache is not None and cache.hits == 0
+        monkeypatch.setattr(parallel, "simulate_run", _no_work)
+        monkeypatch.setattr(parallel, "solve_model", _no_work)
+        assert build() == cold
+        assert cache.misses == cache.hits > 0
+    finally:
+        cache_mod.configure(enabled=None, directory=None)
 
 
 def test_cache_true_uses_the_configured_cache(tmp_path):

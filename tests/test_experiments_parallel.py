@@ -18,10 +18,10 @@ from repro.experiments.configs import Setting
 from repro.experiments.parallel import (
     ModelTask,
     ReplicationExecutor,
-    RunSpec,
     simulate_run,
 )
-from repro.experiments.runner import ScaleProfile, run_setting
+from repro.experiments.runner import (ScaleProfile, run_setting,
+                                      setting_run_spec)
 from repro.model.tcp_chain import FlowParams
 
 TINY = ScaleProfile("tiny", runs=2, duration_s=50.0,
@@ -59,8 +59,8 @@ def test_parallel_matches_serial_bit_identical():
 
 
 def test_simulate_run_is_deterministic():
-    spec = RunSpec(setting=SETTING, duration_s=40.0, scheme="dmp",
-                   seed=123, send_buffer_pkts=16)
+    spec = setting_run_spec(SETTING, 40.0, 123, scheme="dmp",
+                            send_buffer_pkts=16)
     assert simulate_run(spec) == simulate_run(spec)
 
 

@@ -15,7 +15,7 @@ from repro.core.campaign import (CampaignResult, MultiSessionCampaign,
                                  SessionSummary)
 from repro.core.metrics import quantile
 from repro.experiments.configs import ALL_SETTINGS
-from repro.experiments.parallel import RunSpec
+from repro.experiments.runner import setting_run_spec
 from repro.experiments.scenarios import build_run, meanfield_spec
 from repro.sim.pool import PacketPool
 from repro.sim.queueing import QUEUE_DISCIPLINES
@@ -236,8 +236,8 @@ class TestExperiments:
         """A run record holds exactly one session's arrivals."""
         from repro.experiments.cache import ResultCache
         cache = ResultCache(str(tmp_path))
-        spec = RunSpec(setting=ALL_SETTINGS["2-2"], duration_s=5.0,
-                       scheme="dmp", seed=1, send_buffer_pkts=16)
+        spec = setting_run_spec(ALL_SETTINGS["2-2"], 5.0, 1,
+                                scheme="dmp", send_buffer_pkts=16)
         session = {"total_packets": 3, "arrivals": [[0, 0.5]]}
         record = {"flow_stats": []}
         cache.put_run(spec, record)

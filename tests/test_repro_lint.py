@@ -37,6 +37,7 @@ STRICT_PATHS = ["src/repro/sim", "src/repro/obs",
                 "src/repro/experiments/scenarios.py",
                 "src/repro/experiments/measure.py",
                 "src/repro/experiments/report.py",
+                "src/repro/experiments/internet.py",
                 "src/repro/model/fluid.py",
                 "src/repro/model/meanfield.py",
                 "src/repro/model/mc_kernel.py",

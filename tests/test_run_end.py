@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.campaign import MultiSessionCampaign
 from repro.experiments.configs import ALL_SETTINGS
-from repro.experiments.parallel import RunSpec, simulate_run
+from repro.experiments.parallel import simulate_run
+from repro.experiments.runner import setting_run_spec
 from repro.sim.engine import Simulator
 from repro.sim.topology import BottleneckSpec
 
@@ -50,8 +51,8 @@ def full_drain(monkeypatch):
 @pytest.mark.parametrize("setting", ["2-2", "1-3", "corr-2"])
 def test_simulate_run_records_equal_the_full_drain(setting, scheme,
                                                    stops, full_drain):
-    spec = RunSpec(ALL_SETTINGS[setting], DURATION_S, scheme, SEED,
-                   send_buffer_pkts=16)
+    spec = setting_run_spec(ALL_SETTINGS[setting], DURATION_S, SEED,
+                            scheme=scheme, send_buffer_pkts=16)
     record = simulate_run(spec)
     assert len(stops) == 1
     assert record == full_drain(lambda: simulate_run(spec))

@@ -24,7 +24,8 @@ from repro.experiments.cache import (
     session_record,
 )
 from repro.experiments.configs import ALL_SETTINGS
-from repro.experiments.parallel import RunSpec, simulate_run
+from repro.experiments.parallel import simulate_run
+from repro.experiments.runner import setting_run_spec
 from repro.obs.health import SessionHealth, SessionMeta
 
 MUS = st.sampled_from([1.0, 3.0, 7.0, 10.0, 25.0, 50.0])
@@ -111,8 +112,8 @@ def test_simulated_record_through_the_cache_matches_the_live_run(
     """simulate_run -> put_run -> JSON on disk -> get_run -> reader
     equals the live one-session result at taus never requested."""
     setting = ALL_SETTINGS["2-2"]
-    spec = RunSpec(setting=setting, duration_s=5.0, scheme="dmp",
-                   seed=3, send_buffer_pkts=16)
+    spec = setting_run_spec(setting, 5.0, 3, scheme="dmp",
+                            send_buffer_pkts=16)
     cache = ResultCache(str(tmp_path))
     cache.put_run(spec, simulate_run(spec))
     record = cache.get_run(spec)

@@ -25,7 +25,8 @@ from repro import telemetry
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import ModelTask, ReplicationExecutor
 from repro.experiments.configs import Setting
-from repro.experiments.runner import ScaleProfile, run_setting
+from repro.experiments.runner import (ScaleProfile, fetch_estimates,
+                                      run_setting)
 from repro.model.tcp_chain import FlowParams
 from repro.obs import validate_jsonl
 from repro.obs.health import LogHistogram
@@ -299,6 +300,23 @@ def test_cache_counters_hit_miss_write_and_corrupt(tmp_path):
         assert tel.metrics.counter("cache.miss").values == {"model": 2}
     # Plain attribute counters track regardless of telemetry.
     assert (cache.hits, cache.misses, cache.stores) == (1, 2, 1)
+
+
+def test_warm_batches_open_no_executor_map_span(tmp_path):
+    """A batch whose every item hits the cache computes nothing, so it
+    opens no ``executor.map`` span."""
+    cache = ResultCache(directory=str(tmp_path))
+    executor = ReplicationExecutor(max_workers=1)
+    fetch_estimates([_task()], cache, executor)
+    run_setting(SETTING, taus=(2.0,), profile=TINY, seed0=7,
+                max_workers=1, cache=cache)
+    with telemetry.session() as tel:
+        fetch_estimates([_task()], cache, executor)
+        run_setting(SETTING, taus=(2.0,), profile=TINY, seed0=7,
+                    max_workers=1, cache=cache)
+    names = [span.name for root in tel.roots for span in root.walk()]
+    assert names == ["setting"]
+    assert tel.metrics.counter("cache.miss").values == {}
 
 
 def test_cache_counts_nothing_into_null_telemetry(tmp_path):
