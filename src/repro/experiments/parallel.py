@@ -3,23 +3,29 @@
 The paper's methodology is 30 replications x 10,000 simulated seconds
 per setting; each replication is an independent pure function of its
 seed, so the natural unit of parallelism is one packet run (one
-:func:`~repro.experiments.scenarios.build_run`) and, on the model
-side, one ``late_fraction_mc`` solve per startup delay.
+:func:`~repro.experiments.scenarios.build_run`).  On the model side the
+unit is a batch of ``late_fraction_mc`` solves (one per startup delay
+or grid point): :meth:`ReplicationExecutor.solve_models` splits a batch
+into one contiguous chunk per worker, and :func:`solve_batch` runs each
+chunk's solves as lanes of one lockstep kernel loop per flow count.
 :class:`ReplicationExecutor` fans those units out over a
 ``concurrent.futures.ProcessPoolExecutor``.
 
 Determinism is the contract: replication ``run`` always gets seed
-``seed0 + run`` and the per-run work is executed by the *same*
-top-level functions (:func:`simulate_run`, :func:`solve_model`)
-whether it runs in a worker process or inline, so parallel results are
-bit-identical to serial ones and cache keys are stable.
+``seed0 + run``, every model solve draws from its own seeded stream,
+and the work is executed by the *same* top-level functions
+(:func:`simulate_run`, :func:`solve_batch`) whether it runs in a worker
+process or inline, so parallel results are bit-identical to serial
+ones and cache keys are stable.
 
 Telemetry: when a :mod:`repro.telemetry` session is active, every
 ``map`` opens an ``executor.map`` span, work functions open their own
 ``replication``/``solve`` spans, and pooled items run under a fresh
 session in the worker (:class:`_CapturedCall`) whose spans are merged
 back in submit order — so the merged tree of a parallel campaign has
-the same :meth:`Span.signature` as the serial one.  Queue waits, item
+the same :meth:`Span.signature` as the serial one, up to model batches
+of more than one task, which open one ``solve`` span per worker chunk
+and flow count.  Queue waits, item
 durations, worker utilization and fallback/retry counters ride along.
 With no session active all of this reduces to attribute loads on
 :data:`telemetry.NULL_TELEMETRY` (the ``Probe.active`` contract).
@@ -47,8 +53,10 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
 from repro import telemetry
 from repro.experiments.cache import session_record
 from repro.experiments.scenarios import build_run
-from repro.model.dmp_model import DmpModel, LateFractionEstimate
-from repro.model.tcp_chain import FlowParams
+from repro.model.dmp_model import (DmpModel, LateFractionEstimate,
+                                   check_model_inputs)
+from repro.model.mc_kernel import stationary_late_fractions
+from repro.model.tcp_chain import FlowParams, TcpFlowChain
 from repro.sim.topology import PathConfig
 
 ENV_WORKERS = "REPRO_WORKERS"
@@ -73,13 +81,20 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class ModelTask:
-    """One ``late_fraction_mc`` solve, picklable."""
+    """One ``late_fraction_mc`` solve, picklable; rejects what
+    :class:`~repro.model.dmp_model.DmpModel` rejects, and a
+    non-positive horizon."""
 
     flows: Tuple[FlowParams, ...]
     mu: float
     tau: float
     horizon_s: float
     seed: int
+
+    def __post_init__(self) -> None:
+        check_model_inputs(self.flows, self.mu, self.tau)
+        if self.horizon_s <= 0:
+            raise ValueError("horizon must be positive")
 
 
 def simulate_run(spec: RunSpec) -> Dict[str, Any]:
@@ -102,14 +117,32 @@ def simulate_run(spec: RunSpec) -> Dict[str, Any]:
         }
 
 
-def solve_model(task: ModelTask) -> LateFractionEstimate:
-    """Run one model Monte-Carlo solve."""
+def solve_batch(tasks: Sequence[ModelTask]) -> List[LateFractionEstimate]:
+    """Solve a batch of model tasks; one estimate per task, in order.
+
+    Every task's model is built first, on one chain per distinct
+    :class:`FlowParams` (the kernel compiles each chain once per call),
+    then the tasks of each flow count K go to the stationary kernel as
+    one lockstep call, under one ``solve`` span.  Each solve keeps its
+    own random stream, so an estimate does not depend on the batch it
+    was solved in.
+    """
+    chains = {flow: TcpFlowChain(flow) for flow in dict.fromkeys(
+        flow for task in tasks for flow in task.flows)}
+    solves = [DmpModel([chains[flow] for flow in task.flows], mu=task.mu,
+                       tau=task.tau).stationary_solve(task.horizon_s,
+                                                      task.seed)
+              for task in tasks]
+    by_k: Dict[int, List[int]] = {}
+    for idx, task in enumerate(tasks):
+        by_k.setdefault(len(task.flows), []).append(idx)
+    results: Dict[int, LateFractionEstimate] = {}
     tel = telemetry.current()
-    with tel.span("solve", tau=task.tau, seed=task.seed,
-                  flows=len(task.flows)):
-        model = DmpModel(list(task.flows), mu=task.mu, tau=task.tau)
-        return model.late_fraction_mc(horizon_s=task.horizon_s,
-                                      seed=task.seed)
+    for k, group in by_k.items():
+        with tel.span("solve", tasks=len(group), flows=k):
+            results.update(zip(group, stationary_late_fractions(
+                [solves[idx] for idx in group])))
+    return [results[idx] for idx in range(len(tasks))]
 
 
 class _CapturedCall:
@@ -253,7 +286,18 @@ class ReplicationExecutor:
 
     def solve_models(self, tasks: Sequence[ModelTask]) \
             -> List[LateFractionEstimate]:
-        return self.map(solve_model, tasks)
+        """One estimate per task, in order: the tasks split into (at
+        most) one contiguous chunk per worker, each chunk one
+        :func:`solve_batch` call."""
+        work = list(tasks)
+        if not work:
+            return []
+        chunks = min(self.max_workers, len(work))
+        bounds = [len(work) * i // chunks for i in range(chunks + 1)]
+        return [estimate for batch in self.map(
+                    solve_batch, [work[a:b] for a, b in
+                                  zip(bounds, bounds[1:])])
+                for estimate in batch]
 
 
 # ---------------------------------------------------------------------

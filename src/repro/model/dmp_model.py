@@ -58,17 +58,24 @@ class LateFractionEstimate:
         return self.stderr / self.late_fraction
 
 
+def check_model_inputs(flows: Sequence[object], mu: float,
+                       tau: float) -> None:
+    """Reject a model without flows or with a non-positive ``mu`` or
+    ``tau``."""
+    if not flows:
+        raise ValueError("need at least one flow")
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+
+
 class DmpModel:
     """Analytical model of DMP-streaming over K paths."""
 
     def __init__(self, flows: Sequence[FlowLike], mu: float,
                  tau: float) -> None:
-        if not flows:
-            raise ValueError("need at least one flow")
-        if mu <= 0:
-            raise ValueError("mu must be positive")
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        check_model_inputs(flows, mu, tau)
         self.chains: List[TcpFlowChain] = [
             flow if isinstance(flow, TcpFlowChain) else TcpFlowChain(flow)
             for flow in flows]
@@ -111,9 +118,19 @@ class DmpModel:
         10% of the horizon, at least 20 buffer-drain times) is
         discarded.  The measured rest is split over at least
         ``batches`` lockstep replicas (see
-        :func:`repro.model.mc_kernel.stationary_late_fraction`) and
-        the standard error comes from their batch means.
+        :func:`repro.model.mc_kernel.stationary_late_fractions`, of
+        which this is a batch of one) and the standard error comes from
+        their batch means.
         """
+        return _kernel.stationary_late_fractions([self.stationary_solve(
+            horizon_s, seed, burn_in_s=burn_in_s, batches=batches)])[0]
+
+    def stationary_solve(self, horizon_s: float, seed: int,
+                         burn_in_s: Optional[float] = None,
+                         batches: int = 20) -> _kernel.StationarySolve:
+        """The validated kernel input of :meth:`late_fraction_mc`, for
+        solving many models in one
+        :func:`~repro.model.mc_kernel.stationary_late_fractions` call."""
         if horizon_s <= 0:
             raise ValueError("horizon must be positive")
         if burn_in_s is None:
@@ -123,9 +140,8 @@ class DmpModel:
             raise ValueError("burn-in must be shorter than the horizon")
         if batches < 1:
             raise ValueError("need at least one batch")
-        return _kernel.stationary_late_fraction(
-            self, horizon_s=horizon_s, seed=seed,
-            burn_in_s=burn_in_s, batches=batches)
+        return _kernel.StationarySolve(self, horizon_s, seed, burn_in_s,
+                                       batches)
 
     def late_fraction_transient(self, video_s: float,
                                 replications: int = 20,

@@ -11,14 +11,18 @@ of ``searchsorted``) instead of per-event Python loops.
 Two kernels are provided, one per Monte-Carlo solver of
 :class:`~repro.model.dmp_model.DmpModel`:
 
-* :func:`stationary_late_fraction` — the stationary estimator.  The
-  lockstep replicas are the batches of a batch-means estimate: each
-  replica burns in from a warm start (flow states drawn from the
-  per-chain stationary marginals, buffer full) and then measures an
-  equal slice of the requested horizon, so the total measured model
-  time sets the standard error while the work is done in wide vector
-  steps.  Late packets are accounted as a conditional expectation
-  (Rao-Blackwellised, :func:`expected_excess_array`).
+* :func:`stationary_late_fractions` — the stationary estimator, for a
+  batch of solves at once.  The lockstep replicas are the batches of a
+  batch-means estimate: each replica burns in from a warm start (flow
+  states drawn from the per-chain stationary marginals, buffer full)
+  and then measures an equal slice of the requested horizon, so the
+  total measured model time sets the standard error while the work is
+  done in wide vector steps.  Late packets are accounted as a
+  conditional expectation (Rao-Blackwellised,
+  :func:`expected_excess_array`).  The replicas of every solve in the
+  batch are lanes of the same arrays; each solve keeps its own seeded
+  stream and draw order, so its estimate is bit-identical to solving
+  it alone (``DmpModel.late_fraction_mc`` is a batch of one).
 * :func:`transient_late_fraction` — the finite-video estimator, with
   the replications as the vector axis and explicit event semantics
   (time-varying live cap, explicit consumption events).
@@ -32,7 +36,8 @@ stationary answer in the long-video limit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 import numpy.typing as npt
@@ -167,16 +172,22 @@ class CompiledModel:
         return self.nxt[firing, out], self.sval[firing, out]
 
 
+def _compile(chains: Sequence["TcpFlowChain"]) -> CompiledModel:
+    """:class:`CompiledModel` of ``chains``, under an ``mc.compile``
+    span."""
+    tel = telemetry.current()
+    with tel.span("mc.compile", flows=len(chains)) as sp:
+        compiled = CompiledModel(chains)
+        if sp is not None:
+            sp.attrs["states"] = int(compiled.offsets[-1])
+    return compiled
+
+
 def compiled_model(model: "DmpModel") -> CompiledModel:
     """The model's compiled tables, built once and cached on it."""
     cached = model._compiled
     if cached is None:
-        tel = telemetry.current()
-        with tel.span("mc.compile", flows=len(model.chains)) as sp:
-            cached = CompiledModel(model.chains)
-            if sp is not None:
-                sp.attrs["states"] = int(cached.offsets[-1])
-        model._compiled = cached
+        cached = model._compiled = _compile(model.chains)
     return cached
 
 
@@ -247,20 +258,56 @@ def stationary_replica_count(horizon_s: float, burn_in_s: float,
     return max(2, batches, (replicas // batches) * batches)
 
 
-def stationary_late_fraction(
-        model: "DmpModel", horizon_s: float, seed: int,
-        burn_in_s: float, batches: int,
-        replicas: Optional[int] = None) -> "LateFractionEstimate":
-    """Vectorized stationary late-fraction estimate.
+class StationarySolve(NamedTuple):
+    """One solve of a stationary batch: the model, the seed of its own
+    random stream and its run lengths, as validated by
+    :meth:`~repro.model.dmp_model.DmpModel.stationary_solve`."""
 
-    Telemetry: one ``mc.run`` span (label ``"stationary"``) carrying
-    the replica and drawn-RNG-block counts; the ``mc.blocks`` counter
-    accumulates blocks across solves.
+    model: "DmpModel"
+    horizon_s: float
+    seed: int
+    burn_in_s: float
+    batches: int
 
-    Semantics: the total *measured* model time is ``horizon_s -
-    burn_in_s``, late packets are accounted Rao-Blackwellised, and the
-    flows freeze while the buffer sits at ``nmax``.  The measured time
-    is split over ``replicas`` lockstep replicas; each replica is one
+
+def _batch_tables(models: Sequence["DmpModel"]) \
+        -> Tuple[CompiledModel, List[List[int]]]:
+    """One compiled table for a batch of models, and per model the
+    first global state id of each of its flows' chains.
+
+    Every distinct chain object of the batch is compiled once (models
+    built on the same chains share their rows); a batch of one uses
+    the model's cached table.
+    """
+    if len(models) == 1:
+        table = compiled_model(models[0])
+        return table, [table.offsets[:-1].tolist()]
+    index: Dict[int, int] = {}
+    chains: List["TcpFlowChain"] = []
+    for model in models:
+        for chain in model.chains:
+            if id(chain) not in index:
+                index[id(chain)] = len(chains)
+                chains.append(chain)
+    table = _compile(chains)
+    return table, [[int(table.offsets[index[id(chain)]])
+                    for chain in model.chains] for model in models]
+
+
+def stationary_late_fractions(
+        solves: Sequence[StationarySolve]) -> List["LateFractionEstimate"]:
+    """Vectorized stationary late-fraction estimates of a batch of
+    solves of one flow count K, one estimate per solve, in order.
+
+    Telemetry: one ``mc.run`` span (label ``"stationary"``) per call,
+    carrying the solve, lane and drawn-RNG-block counts; the
+    ``mc.blocks`` counter adds each solve's blocks.
+
+    Semantics, per solve: the total *measured* model time is
+    ``horizon_s - burn_in_s``, late packets are accounted
+    Rao-Blackwellised, and the flows freeze while the buffer sits at
+    ``nmax``.  The measured time is split over the solve's lockstep
+    replicas (:func:`stationary_replica_count`); each replica is one
     (independent) batch, so the standard error is the across-replica
     standard error of the mean.
 
@@ -276,104 +323,156 @@ def stationary_late_fraction(
     the same step — distributionally identical to a separate frozen
     iteration, but without spending a whole vector step on one
     consumption event.
+
+    Batching: the replicas of every solve are the lanes of one lockstep
+    loop, with per-lane ``mu``, ``nmax`` and window bounds over the
+    one table of :func:`_batch_tables`.  Each solve draws from its
+    own ``default_rng(seed)`` in the order a batch of one draws (warm
+    start, then per 64-step block its exponentials and uniforms, and
+    per step its Poisson consumptions), polls its own termination every
+    8 steps and leaves the lanes when it ends, so its estimate does not
+    depend on the rest of the batch.
     """
     tel = telemetry.current()
-    with tel.span("mc.run", label="stationary", seed=seed,
-                  horizon_s=horizon_s) as sp:
-        estimate, used, blocks = _stationary_impl(
-            model, horizon_s, seed, burn_in_s, batches, replicas)
+    with tel.span("mc.run", label="stationary",
+                  tasks=len(solves)) as sp:
+        estimates, lanes, blocks = _stationary_batch(solves)
         if sp is not None:
-            sp.attrs["replicas"] = used
+            sp.attrs["replicas"] = lanes
             sp.attrs["blocks"] = blocks
         if tel.active:
             tel.metrics.counter("mc.blocks").inc(blocks)
-        return estimate
+        return estimates
 
 
-def _stationary_impl(
-        model: "DmpModel", horizon_s: float, seed: int,
-        burn_in_s: float, batches: int, replicas: Optional[int]
-) -> Tuple["LateFractionEstimate", int, int]:
-    """The stationary loop; returns (estimate, replicas, blocks)."""
-    from repro.model.dmp_model import LateFractionEstimate
+def _stationary_batch(
+        solves: Sequence[StationarySolve]
+) -> Tuple[List["LateFractionEstimate"], int, int]:
+    """The lockstep loop; returns (estimates, lanes, blocks)."""
+    flow_counts = {len(solve.model.chains) for solve in solves}
+    if len(flow_counts) != 1:
+        raise ValueError("a stationary batch needs solves of one flow "
+                         f"count, got {sorted(flow_counts)}")
+    k = flow_counts.pop()
+    table, bases = _batch_tables([solve.model for solve in solves])
+    crate, cum, nxt, sval = table.rate, table.cum, table.nxt, table.sval
 
-    compiled = compiled_model(model)
-    mu, nmax, tau, k = model.mu, model.nmax, model.tau, compiled.k
-    measured_total = horizon_s - burn_in_s
-    if replicas is None:
-        replicas = stationary_replica_count(horizon_s, burn_in_s, tau,
-                                            batches)
-    if replicas < 2:
-        raise ValueError("need at least two replicas")
-    r_measured = measured_total / replicas
-    r_burn = max(BURN_IN_TAUS * tau, BURN_IN_FRACTION * r_measured)
-    r_horizon = r_burn + r_measured
+    # Per-solve constants and warm starts, each from the solve's own
+    # stream.
+    rngs: List[np.random.Generator] = []
+    counts: List[int] = []
+    sids: List[IntArray] = []
+    mus: List[float] = []
+    r_measured: List[float] = []
+    r_burn: List[float] = []
+    r_horizon: List[float] = []
+    for solve, base in zip(solves, bases):
+        model = solve.model
+        replicas = stationary_replica_count(
+            solve.horizon_s, solve.burn_in_s, model.tau, solve.batches)
+        measured = (solve.horizon_s - solve.burn_in_s) / replicas
+        burn = max(BURN_IN_TAUS * model.tau, BURN_IN_FRACTION * measured)
+        rng = np.random.default_rng(solve.seed)
+        sid = np.empty((replicas, k), dtype=np.int64)
+        for i, chain in enumerate(model.chains):
+            pi = chain.stationary_distribution()
+            sid[:, i] = base[i] + rng.choice(len(pi), size=replicas,
+                                             p=pi)
+        rngs.append(rng)
+        counts.append(replicas)
+        sids.append(sid)
+        mus.append(model.mu)
+        r_measured.append(measured)
+        r_burn.append(burn)
+        r_horizon.append(burn + measured)
+    count = np.array(counts)
+    horizon = np.array(r_horizon)
 
-    R = replicas
-    rng = np.random.default_rng(seed)
-    sid = np.empty((R, k), dtype=np.int64)
-    for i, chain in enumerate(model.chains):
-        pi = chain.stationary_distribution()
-        sid[:, i] = compiled.offsets[i] + rng.choice(
-            len(pi), size=R, p=pi)
-    rate = compiled.rate[sid]
-    sid_flat = sid.reshape(-1)
-    rate_flat = rate.reshape(-1)
-    crate = compiled.rate
-    cum, nxt, sval = compiled.cum, compiled.nxt, compiled.sval
-
-    n = np.full(R, nmax, dtype=np.int64)
-    t = np.zeros(R)
-    late = np.zeros(R)
-    shares = np.zeros(k)
-    # The loop below is overhead-bound (many numpy calls on short
-    # arrays), so every per-step ufunc writes into a preallocated
-    # buffer or consumes its own RNG block row in place.
-    pre = np.empty(R, dtype=bool)
-    bflow = np.empty(R, dtype=bool)
-    ftmp = np.empty(R)
-    idx2 = np.empty(R, dtype=np.int64)
-    rows_k = np.arange(R) * k
-    inv_mu = 1.0 / mu
+    # Lane arrays: solve j owns a contiguous run of count[j] lanes.
+    nmax = np.repeat([solve.model.nmax for solve in solves], count)
+    n = nmax.copy()
+    t = np.zeros(len(n))
+    late = np.zeros(len(n))
+    sid = np.concatenate(sids)
+    rate = crate[sid]
+    delivered = np.zeros((len(n), k), dtype=np.int64)
+    inv_mu = np.repeat([1.0 / mu for mu in mus], count)
+    lo = np.repeat(r_burn, count)
+    hi = np.repeat(horizon, count)
+    active = np.arange(len(solves))
+    results: List[Optional["LateFractionEstimate"]] = [None] * len(solves)
     two = k == 2
-    if two:
-        r0, r1 = rate[:, 0], rate[:, 1]
-        s0, s1 = sid[:, 0], sid[:, 1]
 
     BLOCK = 64
     cursor = BLOCK
     blocks = 0
     until_check = 1
-    if two:
-        # Path shares are a per-run diagnostic; accumulate the per-step
-        # delivered counts into block buffers and reduce once per block
-        # instead of three reductions per step.
-        s_blk = np.zeros((BLOCK, R), dtype=np.int64)
-        f_blk = np.zeros((BLOCK, R), dtype=bool)
-
-        def flush_shares(upto: int) -> None:
-            stot = float(s_blk[:upto].sum())
-            sflow1 = float((s_blk[:upto] * f_blk[:upto]).sum())
-            shares[0] += stot - sflow1
-            shares[1] += sflow1
-
+    relaid = True
+    # Each solve refills its lanes' columns of these blocks in place.
+    exp_blk = np.empty((BLOCK, 2, len(n)))
+    uni_blk = np.empty((BLOCK, 2, len(n)))
     while True:
-        # Termination is a scalar reduction, so it is only polled every
-        # few steps; replicas past their horizon keep stepping but
-        # their segments fail the window test and contribute nothing.
+        # Termination is a per-solve reduction, so it is only polled
+        # every few steps; replicas past their horizon keep stepping
+        # but their segments fail the window test and contribute
+        # nothing.  A finished solve's lanes leave the loop.
         until_check -= 1
         if until_check <= 0:
-            if t.min() >= r_horizon:
-                break
+            starts = np.cumsum(count[active]) - count[active]
+            done = np.minimum.reduceat(t, starts) >= horizon[active]
+            if done.any():
+                for pos in np.flatnonzero(done):
+                    j = active[pos]
+                    lanes = slice(starts[pos], starts[pos] + count[j])
+                    results[j] = _estimate(
+                        late[lanes], delivered[lanes],
+                        mus[j] * r_measured[j], solves[j].horizon_s)
+                keep = np.repeat(~done, count[active])
+                active = active[~done]
+                if not active.size:
+                    break
+                n, nmax, t, late, inv_mu, lo, hi = (
+                    a[keep] for a in (n, nmax, t, late, inv_mu, lo, hi))
+                sid, rate, delivered = sid[keep], rate[keep], delivered[keep]
+                del exp0, lam, u1, u2  # views that pin the old blocks
+                exp_blk = exp_blk[:, :, keep]
+                uni_blk = uni_blk[:, :, keep]
+                relaid = True
             until_check = 8
-        if cursor >= BLOCK:
+        if relaid:
+            # The loop below is overhead-bound (many numpy calls on
+            # short arrays), so every per-step ufunc writes into a
+            # preallocated buffer or consumes its own RNG block row in
+            # place; these are rebuilt only when the lanes change.
+            relaid = False
+            lanes_n = len(n)
+            pre = np.empty(lanes_n, dtype=bool)
+            bflow = np.empty(lanes_n, dtype=bool)
+            ftmp = np.empty(lanes_n)
+            idx2 = np.empty(lanes_n, dtype=np.int64)
+            rows_k = np.arange(lanes_n) * k
+            sid_flat = sid.reshape(-1)
+            rate_flat = rate.reshape(-1)
+            delivered_flat = delivered.reshape(-1)
             if two:
-                flush_shares(BLOCK)
-            blocks += 1
-            exp_blk = rng.standard_exponential((BLOCK, 2, R))
-            exp_blk[:, 0, :] *= inv_mu  # pre-scaled consumption prefix
-            exp_blk[:, 1, :] *= mu      # numerator of lam = mu * dt
-            uni_blk = rng.random((BLOCK, 2, R))
+                r0, r1 = rate[:, 0], rate[:, 1]
+                s0, s1 = sid[:, 0], sid[:, 1]
+            segs: List[Tuple[np.random.Generator, slice, IntArray,
+                             float]] = []
+            start = 0
+            for j in active:
+                lanes = slice(start, start + count[j])
+                segs.append((rngs[j], lanes, n[lanes], mus[j]))
+                start += count[j]
+        if cursor >= BLOCK:
+            blocks += len(segs)
+            for rng, lanes, _, mu in segs:
+                width = lanes.stop - lanes.start
+                exp_j = rng.standard_exponential((BLOCK, 2, width))
+                exp_j[:, 0, :] *= 1.0 / mu  # pre-scaled consumption prefix
+                exp_j[:, 1, :] *= mu        # numerator of lam = mu * dt
+                exp_blk[:, :, lanes] = exp_j
+                uni_blk[:, :, lanes] = rng.random((BLOCK, 2, width))
             cursor = 0
         exp0 = exp_blk[cursor, 0]
         lam = exp_blk[cursor, 1]
@@ -402,15 +501,18 @@ def _stationary_impl(
         # whole block sits behind a scalar screen: lam + 8*sqrt(lam)
         # + 20 <= 2*lam + 36, so when even that bound at the largest
         # lam stays below the smallest deficit boundary, no lane can
-        # pass the per-lane guard.
+        # pass the per-lane guard.  The screen spans every solve of the
+        # batch but only skips work the guard would reject, so a lane's
+        # late count does not depend on the other solves' lanes.
         if 2.0 * lam.max() + 36.0 >= max(n.min(), 0):
             m = np.maximum(n, 0)
-            need = ((t >= r_burn) & (t < r_horizon)
+            need = ((t >= lo) & (t < hi)
                     & (lam + 8.0 * np.sqrt(lam) + 20.0 >= m))
             idx = np.flatnonzero(need)
             if idx.size:
                 late[idx] += expected_excess_array(lam[idx], m[idx])
-        np.subtract(n, rng.poisson(lam), out=n)
+        for rng, lanes, n_j, _ in segs:
+            np.subtract(n_j, rng.poisson(lam[lanes]), out=n_j)
         np.multiply(lam, inv_mu, out=exp0)  # dt, reusing the spent row
         np.add(t, exp0, out=t)
 
@@ -431,25 +533,30 @@ def _stationary_impl(
         s = sval[firing, out]
         sid_flat[idx2] = new_sid
         rate_flat[idx2] = crate[new_sid]
+        delivered_flat[idx2] += s
         np.add(n, s, out=n)
         np.minimum(n, nmax, out=n)
-        if two:
-            s_blk[cursor - 1] = s
-            f_blk[cursor - 1] = bflow
-        else:
-            shares += np.bincount(flow, weights=s, minlength=k)
 
-    if two:
-        flush_shares(cursor)
-    fractions = np.minimum(late / (mu * r_measured), 1.0)
-    mean = float(fractions.mean())
-    stderr = float(fractions.std(ddof=1) / np.sqrt(replicas))
+    estimates = [result for result in results if result is not None]
+    return estimates, int(count.sum()), blocks
+
+
+def _estimate(late: FloatArray, delivered: IntArray, late_scale: float,
+              horizon_s: float) -> "LateFractionEstimate":
+    """One solve's estimate from its replicas' Rao-Blackwellised late
+    counts and per-flow delivered packets; ``late_scale`` is the
+    packets one replica's window plays out (``mu * window``)."""
+    from repro.model.dmp_model import LateFractionEstimate
+
+    fractions = np.minimum(late / late_scale, 1.0)
+    shares = delivered.sum(axis=0).astype(float)
     total_shares = shares.sum()
-    share_tuple = tuple(shares / total_shares) if total_shares \
-        else tuple(0.0 for _ in range(k))
     return LateFractionEstimate(
-        late_fraction=mean, stderr=stderr, horizon_s=horizon_s,
-        method="mc", path_shares=share_tuple), replicas, blocks
+        late_fraction=float(fractions.mean()),
+        stderr=float(fractions.std(ddof=1) / np.sqrt(len(late))),
+        horizon_s=horizon_s, method="mc",
+        path_shares=tuple(shares / total_shares) if total_shares
+        else tuple(0.0 for _ in shares))
 
 
 # ---------------------------------------------------------------------
@@ -556,6 +663,7 @@ __all__: List[str] = [
     "compiled_model",
     "BlockDraws",
     "stationary_replica_count",
-    "stationary_late_fraction",
+    "StationarySolve",
+    "stationary_late_fractions",
     "transient_late_fraction",
 ]

@@ -95,11 +95,13 @@ NAMES: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "executor.map": ("span", (), "One ReplicationExecutor.map()"),
     "retry": ("span", (), "Serial re-run of a crashed worker item"),
     "replication": ("span", (), "One simulate_run() replication"),
-    "solve": ("span", (), "One solve_model() Monte-Carlo solve"),
+    "solve": ("span", (), "One solve_batch() kernel call: the tasks "
+              "of one flow count (attrs: tasks, flows)"),
     "internet.campaign": ("span", (), "run_internet_experiments()"),
     "sweep.fig8": ("span", (), "fig8_curves() model grid"),
     "mc.compile": ("span", (), "MC kernel one-time table compile"),
-    "mc.run": ("span", (), "MC kernel solve loop (label: mode)"),
+    "mc.run": ("span", (), "MC kernel lockstep loop over a batch of "
+               "solves (label: mode; attrs: tasks, replicas, blocks)"),
     # -- campaign counters, gauges and histograms ----------------------
     "cache.hit": ("counter", ("kind",), "Result-cache hits"),
     "cache.miss": ("counter", ("kind",), "Result-cache misses"),

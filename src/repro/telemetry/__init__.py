@@ -14,7 +14,7 @@ Quick start::
 Library code never starts sessions; it asks for the ambient one::
 
     tel = telemetry.current()          # NULL_TELEMETRY when inactive
-    with tel.span("solve", tau=task.tau):
+    with tel.span("solve", tasks=len(tasks)):
         ...
     if tel.active:
         tel.metrics.counter("cache.hit").inc(label="model")

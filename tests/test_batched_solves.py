@@ -1,17 +1,28 @@
-"""Model-solve batches: pinned estimates of a mixed batch.
+"""Model-solve batches: pinned, and equal to one solve at a time.
 
 ``ReplicationExecutor.solve_models`` is the one door every cached model
 solve goes through (run_setting's per-tau solves, Fig 7, Fig 8, the
-required-delay searches).  The batch below mixes K = 1, 2 and 3, both
-loss models, and different ``mu``, ``tau``, ``horizon_s`` and seeds,
-with one short-horizon task beside long ones; its estimates are pinned
-exactly, so any change to how a batch is solved must leave every float
-where it was.
+required-delay searches), and it runs each chunk of a batch through the
+stationary kernel as one lockstep call per flow count K.  The batch
+below mixes K = 1, 2 and 3, both loss models, and different ``mu``,
+``tau``, ``horizon_s`` and seeds, with one short-horizon task beside
+long ones.  Its estimates are pinned exactly, and must equal the
+estimates of one ``late_fraction_mc`` call per task.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+
+import pytest
+
+from repro import telemetry
+from repro.experiments import parallel
+from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import ModelTask, ReplicationExecutor
+from repro.experiments.runner import fetch_estimates
+from repro.model.dmp_model import DmpModel
 from repro.model.tcp_chain import FlowParams
 
 A = FlowParams(p=0.02, rtt=0.1, to_ratio=2.0, wmax=8)
@@ -63,3 +74,91 @@ def test_batch_of_one_is_pinned():
     (estimate,) = ReplicationExecutor(max_workers=1).solve_models(
         TASKS[2:3])
     assert _summary([estimate]) == PINNED[2:3]
+
+
+def _blocks(session):
+    return {c.name: c.total for c in session.metrics.counters()} \
+        .get("mc.blocks", 0)
+
+
+@pytest.fixture(scope="module")
+def one_at_a_time():
+    """Each task solved alone on a model of its own, and the RNG blocks
+    those solves drew."""
+    with telemetry.session() as session:
+        estimates = [DmpModel(list(task.flows), mu=task.mu, tau=task.tau)
+                     .late_fraction_mc(horizon_s=task.horizon_s,
+                                       seed=task.seed)
+                     for task in TASKS]
+    return estimates, _blocks(session)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_equals_one_solve_at_a_time(one_at_a_time, workers):
+    singles, single_blocks = one_at_a_time
+    with telemetry.session() as session:
+        batched = ReplicationExecutor(max_workers=workers).solve_models(
+            TASKS)
+    assert batched == singles
+    assert _blocks(session) == single_blocks > 0
+
+
+def _walk(span):
+    yield span
+    for child in span.children:
+        yield from _walk(child)
+
+
+def test_one_solve_span_per_kernel_call():
+    """A serial batch opens one ``solve`` span per flow count, in order
+    of first appearance, each holding one lockstep ``mc.run`` that
+    compiles each distinct flow's chain once."""
+    with telemetry.session() as session:
+        ReplicationExecutor(max_workers=1).solve_models(TASKS)
+    (mapped,) = session.roots
+    solves = mapped.children
+    assert [(s.name, s.attrs["flows"], s.attrs["tasks"]) for s in solves] \
+        == [("solve", 2, 3), ("solve", 1, 2), ("solve", 3, 2)]
+    for span in solves:
+        runs = [c for c in span.children if c.name == "mc.run"]
+        assert [r.attrs["tasks"] for r in runs] == [span.attrs["tasks"]]
+    # K=2 runs on chains A and B, K=1 on A and C, K=3 on A, B and C.
+    assert [[c.attrs["flows"] for c in _walk(span) if c.name == "mc.compile"]
+            for span in solves] == [[2], [2], [3]]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("flows", (), "need at least one flow"),
+    ("mu", 0.0, "mu must be positive"),
+    ("tau", -1.0, "tau must be positive"),
+    ("horizon_s", 0.0, "horizon must be positive"),
+])
+def test_bad_task_is_rejected_before_any_solve(tmp_path, monkeypatch,
+                                               field, value, message):
+    def no_solve(tasks):
+        raise AssertionError("the kernel ran on a bad batch")
+
+    monkeypatch.setattr(parallel, "solve_batch", no_solve)
+    store = ResultCache(str(tmp_path))
+    with pytest.raises(ValueError, match=message):
+        fetch_estimates([TASKS[0],
+                         dataclasses.replace(TASKS[1], **{field: value})],
+                        store, ReplicationExecutor(max_workers=1))
+    assert os.listdir(str(tmp_path)) == []
+
+
+def test_batch_builds_every_model_before_the_kernel_runs(tmp_path,
+                                                         monkeypatch):
+    """A task that slipped past its own checks (mutated in place) still
+    fails the whole batch before the first lockstep call."""
+    def no_kernel(solves):
+        raise AssertionError("the kernel ran on a bad batch")
+
+    monkeypatch.setattr(parallel, "stationary_late_fractions", no_kernel)
+    bad = dataclasses.replace(TASKS[1])
+    object.__setattr__(bad, "mu", -1.0)
+    store = ResultCache(str(tmp_path))
+    with pytest.raises(ValueError, match="mu must be positive"):
+        fetch_estimates([TASKS[0], bad], store,
+                        ReplicationExecutor(max_workers=1))
+    assert os.listdir(str(tmp_path)) == []

@@ -375,9 +375,22 @@ def test_warm_rerun_reads_every_run_and_solve(tmp_path, monkeypatch,
         cache = cache_mod.default_cache()
         assert cache is not None and cache.hits == 0
         monkeypatch.setattr(parallel, "simulate_run", _no_work)
-        monkeypatch.setattr(parallel, "solve_model", _no_work)
+        monkeypatch.setattr(parallel, "solve_batch", _no_work)
         assert build() == cold
         assert cache.misses == cache.hits > 0
+    finally:
+        cache_mod.configure(enabled=None, directory=None)
+
+
+def test_solve_stub_bites_on_a_cold_pass(tmp_path, monkeypatch):
+    """Canary for the warm re-run test above: Fig 7's model solves go
+    through ``parallel.solve_batch``, so its stub fails a cold pass."""
+    cache_mod.configure(enabled=True, directory=str(tmp_path))
+    try:
+        monkeypatch.setattr(parallel, "solve_batch", _no_work)
+        with pytest.raises(AssertionError, match="must not simulate"):
+            run_internet_experiments(n_experiments=2, taus=(1.0, 4.0),
+                                     profile=SHORT, seed=11)
     finally:
         cache_mod.configure(enabled=None, directory=None)
 

@@ -109,15 +109,26 @@ def test_lockstep_matches_sequential_reference(sequential, lockstep):
                                         STATIC_DELAY_GRID}
 
 
+def _no_solve(tasks):
+    raise AssertionError(f"solved {len(tasks)} tasks")
+
+
+def test_solve_stub_bites_on_a_cold_pass(tmp_path, monkeypatch):
+    """Canary for the warm-cache test below: every model solve goes
+    through ``parallel.solve_batch``, so its stub fails a cold pass."""
+    monkeypatch.setattr(parallel, "solve_batch", _no_solve)
+    with pytest.raises(AssertionError, match="solved"):
+        required_startup_delays(
+            QUESTIONS, threshold=THRESHOLD, horizon_s=HORIZON_S,
+            seed=SEED, max_workers=1, cache=ResultCache(str(tmp_path)))
+
+
 def test_warm_cache_solves_nothing(sequential, lockstep, monkeypatch):
     answers, probes = sequential
     _, _, store = lockstep
     assert store.misses == sum(len(seen) for seen in probes)
 
-    def no_solve(task):
-        raise AssertionError(f"warm pass solved {task}")
-
-    monkeypatch.setattr(parallel, "solve_model", no_solve)
+    monkeypatch.setattr(parallel, "solve_batch", _no_solve)
     store.hits = store.misses = 0
     assert required_startup_delays(
         QUESTIONS, threshold=THRESHOLD, horizon_s=HORIZON_S, seed=SEED,
