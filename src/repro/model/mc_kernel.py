@@ -22,7 +22,10 @@ Two kernels are provided, one per Monte-Carlo solver of
   :func:`expected_excess_array`).  The replicas of every solve in the
   batch are lanes of the same arrays; each solve keeps its own seeded
   stream and draw order, so its estimate is bit-identical to solving
-  it alone (``DmpModel.late_fraction_mc`` is a batch of one).
+  it alone (``DmpModel.late_fraction_mc`` is a batch of one).  The
+  flow chains never read the buffer, so each 64-step block first
+  steps the chains, then draws the block's Poisson consumptions in one
+  call per solve, then steps the buffer through the block.
 * :func:`transient_late_fraction` — the finite-video estimator, with
   the replications as the vector axis and explicit event semantics
   (time-varying live cap, explicit consumption events).
@@ -195,12 +198,14 @@ def compiled_model(model: "DmpModel") -> CompiledModel:
 # Block RNG
 # ---------------------------------------------------------------------
 class BlockDraws:
-    """Pre-drawn exponential/uniform blocks, one row per vector step.
+    """Pre-drawn exponential/uniform blocks, one row per vector step,
+    for the transient kernel.
 
     Drawing ``(steps, ..., R)`` blocks wholesale amortises the per-call
-    RNG overhead across many lockstep steps; Poisson variates cannot be
-    pre-drawn (their rate depends on the step's holding times) and are
-    drawn per step, still as one vectorized call.
+    RNG overhead across many lockstep steps.  The transient kernel
+    draws no Poisson variates (its consumptions are explicit events).
+    The stationary kernel draws its own blocks, the Poisson
+    consumptions included, in :func:`_stationary_batch`.
     """
 
     def __init__(self, rng: np.random.Generator, row: int,
@@ -328,10 +333,23 @@ def stationary_late_fractions(
     loop, with per-lane ``mu``, ``nmax`` and window bounds over the
     one table of :func:`_batch_tables`.  Each solve draws from its
     own ``default_rng(seed)`` in the order a batch of one draws (warm
-    start, then per 64-step block its exponentials and uniforms, and
-    per step its Poisson consumptions), polls its own termination every
-    8 steps and leaves the lanes when it ends, so its estimate does not
-    depend on the rest of the batch.
+    start, then per 64-step block its exponentials, its uniforms and
+    the block's Poisson consumptions, one call each), polls its own
+    termination every 8 steps and leaves the lanes at the next block
+    top once it has ended, so its estimate does not depend on the rest
+    of the batch.
+
+    Blocks: a step's consumption rate ``lam = mu * dt`` depends only on
+    the flow chains, which never read the buffer level.  So each block
+    runs in three passes: (A) step the chains through the block,
+    keeping each step's ``lam``, firing flow and delivered packets;
+    (B) draw the block's Poisson consumptions, one ``(64, replicas)``
+    call per solve, which numpy fills step by step, so they are the
+    variates 64 per-step calls would draw; (C) step the buffer, the
+    clock and the late and delivered counts through the block, polling
+    termination every 8 steps, so a solve that ends inside a block is
+    finalised as it stands at that poll.  Draws past a solve's end are
+    discarded with its stream.
     """
     tel = telemetry.current()
     with tel.span("mc.run", label="stationary",
@@ -356,6 +374,7 @@ def _stationary_batch(
     k = flow_counts.pop()
     table, bases = _batch_tables([solve.model for solve in solves])
     crate, cum, nxt, sval = table.rate, table.cum, table.nxt, table.sval
+    cum0 = np.ascontiguousarray(cum[:, 0])
 
     # Per-solve constants and warm starts, each from the solve's own
     # stream.
@@ -403,53 +422,62 @@ def _stationary_batch(
     results: List[Optional["LateFractionEstimate"]] = [None] * len(solves)
     two = k == 2
 
+    def poll(starts: IntArray) -> npt.NDArray[np.bool_]:
+        """Which active solves have ended; each is finalised from its
+        lanes' ``late`` and ``delivered`` at the first poll that sees
+        it end."""
+        done = np.minimum.reduceat(t, starts) >= horizon[active]
+        for pos in np.flatnonzero(done):
+            j = active[pos]
+            if results[j] is None:
+                lanes = slice(starts[pos], starts[pos] + count[j])
+                results[j] = _estimate(
+                    late[lanes], delivered[lanes],
+                    mus[j] * r_measured[j], solves[j].horizon_s)
+        return done
+
     BLOCK = 64
-    cursor = BLOCK
+    POLL = 8
     blocks = 0
-    until_check = 1
     relaid = True
-    # Each solve refills its lanes' columns of these blocks in place.
-    exp_blk = np.empty((BLOCK, 2, len(n)))
-    uni_blk = np.empty((BLOCK, 2, len(n)))
+    # Block buffers, one row per step, allocated once for every lane;
+    # when lanes leave, the loop uses their leading columns.
+    exp_all = np.empty((BLOCK, 2, len(n)))
+    uni_all = np.empty((BLOCK, 2, len(n)))
+    idx2_all, s_all, pois_all = (
+        np.empty((BLOCK, len(n)), dtype=np.int64) for _ in range(3))
+    t_seg_all = np.empty((POLL, len(n)))
+    m_seg_all = np.empty((POLL, len(n)), dtype=np.int64)
     while True:
         # Termination is a per-solve reduction, so it is only polled
-        # every few steps; replicas past their horizon keep stepping
+        # every POLL steps; replicas past their horizon keep stepping
         # but their segments fail the window test and contribute
-        # nothing.  A finished solve's lanes leave the loop.
-        until_check -= 1
-        if until_check <= 0:
+        # nothing.  Finished solves' lanes leave at a block top, before
+        # the next block is drawn.
+        starts = np.cumsum(count[active]) - count[active]
+        done = poll(starts)
+        if done.any():
+            keep = np.repeat(~done, count[active])
+            active = active[~done]
+            if not active.size:
+                break
+            n, nmax, t, late, inv_mu, lo, hi = (
+                a[keep] for a in (n, nmax, t, late, inv_mu, lo, hi))
+            sid, rate, delivered = sid[keep], rate[keep], delivered[keep]
             starts = np.cumsum(count[active]) - count[active]
-            done = np.minimum.reduceat(t, starts) >= horizon[active]
-            if done.any():
-                for pos in np.flatnonzero(done):
-                    j = active[pos]
-                    lanes = slice(starts[pos], starts[pos] + count[j])
-                    results[j] = _estimate(
-                        late[lanes], delivered[lanes],
-                        mus[j] * r_measured[j], solves[j].horizon_s)
-                keep = np.repeat(~done, count[active])
-                active = active[~done]
-                if not active.size:
-                    break
-                n, nmax, t, late, inv_mu, lo, hi = (
-                    a[keep] for a in (n, nmax, t, late, inv_mu, lo, hi))
-                sid, rate, delivered = sid[keep], rate[keep], delivered[keep]
-                del exp0, lam, u1, u2  # views that pin the old blocks
-                exp_blk = exp_blk[:, :, keep]
-                uni_blk = uni_blk[:, :, keep]
-                relaid = True
-            until_check = 8
+            relaid = True
         if relaid:
-            # The loop below is overhead-bound (many numpy calls on
+            # The passes below are overhead-bound (many numpy calls on
             # short arrays), so every per-step ufunc writes into a
-            # preallocated buffer or consumes its own RNG block row in
-            # place; these are rebuilt only when the lanes change.
+            # preallocated buffer or a row of a block; these views are
+            # rebuilt only when the lanes change.
             relaid = False
             lanes_n = len(n)
             pre = np.empty(lanes_n, dtype=bool)
             bflow = np.empty(lanes_n, dtype=bool)
+            seek = np.empty(lanes_n, dtype=bool)
+            out = np.empty(lanes_n, dtype=np.int64)
             ftmp = np.empty(lanes_n)
-            idx2 = np.empty(lanes_n, dtype=np.int64)
             rows_k = np.arange(lanes_n) * k
             sid_flat = sid.reshape(-1)
             rate_flat = rate.reshape(-1)
@@ -457,85 +485,113 @@ def _stationary_batch(
             if two:
                 r0, r1 = rate[:, 0], rate[:, 1]
                 s0, s1 = sid[:, 0], sid[:, 1]
-            segs: List[Tuple[np.random.Generator, slice, IntArray,
-                             float]] = []
-            start = 0
-            for j in active:
-                lanes = slice(start, start + count[j])
-                segs.append((rngs[j], lanes, n[lanes], mus[j]))
-                start += count[j]
-        if cursor >= BLOCK:
-            blocks += len(segs)
-            for rng, lanes, _, mu in segs:
-                width = lanes.stop - lanes.start
-                exp_j = rng.standard_exponential((BLOCK, 2, width))
-                exp_j[:, 0, :] *= 1.0 / mu  # pre-scaled consumption prefix
-                exp_j[:, 1, :] *= mu        # numerator of lam = mu * dt
-                exp_blk[:, :, lanes] = exp_j
-                uni_blk[:, :, lanes] = rng.random((BLOCK, 2, width))
-            cursor = 0
-        exp0 = exp_blk[cursor, 0]
-        lam = exp_blk[cursor, 1]
-        u1 = uni_blk[cursor, 0]
-        u2 = uni_blk[cursor, 1]
-        cursor += 1
+            exp_blk = exp_all[:, :, :lanes_n]
+            uni_blk = uni_all[:, :, :lanes_n]
+            lam_blk = exp_blk[:, 1]
+            idx2_blk, s_blk, pois_blk = (
+                a[:, :lanes_n] for a in (idx2_all, s_all, pois_all))
+            t_seg = t_seg_all[:, :lanes_n]
+            m_seg = m_seg_all[:, :lanes_n]
+            segs = [(rngs[j], slice(start, start + count[j]), mus[j])
+                    for j, start in zip(active, starts)]
+        blocks += len(segs)
+        for rng, lanes, mu in segs:
+            width = lanes.stop - lanes.start
+            exp_j = rng.standard_exponential((BLOCK, 2, width))
+            exp_j[:, 0, :] *= 1.0 / mu  # pre-scaled consumption prefix
+            exp_j[:, 1, :] *= mu        # numerator of lam = mu * dt
+            exp_blk[:, :, lanes] = exp_j
+            uni_blk[:, :, lanes] = rng.random((BLOCK, 2, width))
 
-        # Frozen prefix: a replica pinned at nmax takes its single
-        # unfreezing consumption before this step's flow segment.
-        np.greater_equal(n, nmax, out=pre)
-        np.multiply(exp0, pre, out=exp0)
-        np.add(t, exp0, out=t)      # t is now the segment start
-        np.subtract(n, pre, out=n, casting="unsafe")
+        # (A) The flow chains never read the buffer, so the block's
+        # transitions run first.  Each step keeps its lam = mu * dt
+        # (in place of its exponential), the flat index of the firing
+        # flow and the packets it delivered.
+        for i in range(BLOCK):
+            if two:
+                np.add(r0, r1, out=ftmp)
+            else:
+                rate.sum(axis=1, out=ftmp)
+            lam = lam_blk[i]
+            np.divide(lam, ftmp, out=lam)
+            np.multiply(uni_blk[i, 0], ftmp, out=ftmp)  # u1 * total
+            idx2 = idx2_blk[i]
+            if two:
+                np.less(r0, ftmp, out=bflow)    # True: flow 1 fires
+                firing = np.where(bflow, s1, s0)
+                np.add(rows_k, bflow, out=idx2, casting="unsafe")
+            else:
+                flow = np.minimum((np.cumsum(rate, axis=1)
+                                   < ftmp[:, None]).sum(axis=1), k - 1)
+                np.add(rows_k, flow, out=idx2)
+                firing = sid_flat[idx2]
+            # The outcome is the row-wise searchsorted of u2 in
+            # cum[firing].  A row never drops below its first entry,
+            # so a u2 under it picks outcome 0 (on TCP chains the
+            # lossless round); only the other lanes search their row.
+            u2 = uni_blk[i, 1]
+            np.less_equal(cum0.take(firing), u2, out=seek)
+            far = np.flatnonzero(seek)
+            out.fill(0)
+            out[far] = (cum[firing[far]] <= u2[far, None]).sum(axis=1)
+            new_sid = nxt[firing, out]
+            s_blk[i] = sval[firing, out]
+            sid_flat[idx2] = new_sid
+            rate_flat[idx2] = crate[new_sid]
 
-        # Flow segment: every replica now has n < nmax.
-        if two:
-            np.add(r0, r1, out=ftmp)
-        else:
-            rate.sum(axis=1, out=ftmp)
-        np.divide(lam, ftmp, out=lam)   # lam = mu * dt
+        # (B) One Poisson call per solve: numpy fills the (BLOCK,
+        # width) draw in C order, step by step, so these are the
+        # variates one call per step would draw.
+        for rng, lanes, _ in segs:
+            pois_blk[:, lanes] = rng.poisson(lam_blk[:, lanes])
 
-        # Aggregated (Rao-Blackwellised) consumption over the segment;
-        # only segments starting inside the measurement window count,
-        # and segments whose Poisson tail cannot reach the deficit
-        # boundary are skipped (their expected excess is ~0).  The
-        # whole block sits behind a scalar screen: lam + 8*sqrt(lam)
-        # + 20 <= 2*lam + 36, so when even that bound at the largest
-        # lam stays below the smallest deficit boundary, no lane can
-        # pass the per-lane guard.  The screen spans every solve of the
-        # batch but only skips work the guard would reject, so a lane's
-        # late count does not depend on the other solves' lanes.
-        if 2.0 * lam.max() + 36.0 >= max(n.min(), 0):
-            m = np.maximum(n, 0)
-            need = ((t >= lo) & (t < hi)
-                    & (lam + 8.0 * np.sqrt(lam) + 20.0 >= m))
-            idx = np.flatnonzero(need)
-            if idx.size:
-                late[idx] += expected_excess_array(lam[idx], m[idx])
-        for rng, lanes, n_j, _ in segs:
-            np.subtract(n_j, rng.poisson(lam[lanes]), out=n_j)
-        np.multiply(lam, inv_mu, out=exp0)  # dt, reusing the spent row
-        np.add(t, exp0, out=t)
+        # (C) The buffer, the clock and the late and delivered counts,
+        # POLL steps at a time, so that each poll sees them as they
+        # stand at its step.
+        dt_blk = uni_blk[:, 0]     # the spent u1 rows
+        np.multiply(lam_blk, inv_mu, out=dt_blk)
+        dn_blk = pois_blk          # net buffer change s - poisson
+        np.subtract(s_blk, pois_blk, out=dn_blk)
+        for top in range(0, BLOCK, POLL):
+            if top and poll(starts).all():
+                break
+            for r in range(POLL):
+                i = top + r
+                # Frozen prefix: a replica pinned at nmax takes its
+                # single unfreezing consumption before this step's
+                # flow segment.
+                exp0 = exp_blk[i, 0]
+                np.greater_equal(n, nmax, out=pre)
+                np.multiply(exp0, pre, out=exp0)
+                np.add(t, exp0, out=t_seg[r])   # the segment start
+                np.subtract(n, pre, out=n, casting="unsafe")
+                np.maximum(n, 0, out=m_seg[r])  # its deficit boundary
+                np.add(t_seg[r], dt_blk[i], out=t)
+                np.add(n, dn_blk[i], out=n)
+                np.minimum(n, nmax, out=n)
+                delivered_flat[idx2_blk[i]] += s_blk[i]
 
-        # Which flow fires, and which outcome?
-        np.multiply(u1, ftmp, out=ftmp)     # target = u1 * total
-        if two:
-            np.less(r0, ftmp, out=bflow)    # True: flow 1 fires
-            firing = np.where(bflow, s1, s0)
-            np.add(rows_k, bflow, out=idx2, casting="unsafe")
-        else:
-            flow = np.minimum((np.cumsum(rate, axis=1)
-                               < ftmp[:, None]).sum(axis=1), k - 1)
-            np.add(rows_k, flow, out=idx2)
-            firing = sid_flat[idx2]
-        crows = cum[firing]
-        out = (crows <= u2[:, None]).sum(axis=1)
-        new_sid = nxt[firing, out]
-        s = sval[firing, out]
-        sid_flat[idx2] = new_sid
-        rate_flat[idx2] = crate[new_sid]
-        delivered_flat[idx2] += s
-        np.add(n, s, out=n)
-        np.minimum(n, nmax, out=n)
+            # Aggregated (Rao-Blackwellised) consumption over each
+            # segment of the POLL steps; only segments starting inside
+            # the measurement window count, and segments whose Poisson
+            # tail cannot reach the deficit boundary are skipped
+            # (their expected excess is ~0).  The whole stretch sits
+            # behind a scalar screen: lam + 8*sqrt(lam) + 20 <= 2*lam
+            # + 36, so when even that bound at the largest lam stays
+            # below the smallest deficit boundary, no segment can pass
+            # the per-segment guard.  The screen spans every solve of
+            # the batch but only skips work the guard would reject, so
+            # a lane's late count does not depend on the other solves'
+            # lanes.  ``ufunc.at`` adds in index order, which is step
+            # order, so each lane's sum is the per-step one.
+            lam = lam_blk[top:top + POLL]
+            if 2.0 * lam.max() + 36.0 >= m_seg.min():
+                need = ((t_seg >= lo) & (t_seg < hi)
+                        & (lam + 8.0 * np.sqrt(lam) + 20.0 >= m_seg))
+                _, lane = np.nonzero(need)
+                if lane.size:
+                    np.add.at(late, lane, expected_excess_array(
+                        lam[need], m_seg[need]))
 
     estimates = [result for result in results if result is not None]
     return estimates, int(count.sum()), blocks

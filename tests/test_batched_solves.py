@@ -8,13 +8,21 @@ below mixes K = 1, 2 and 3, both loss models, and different ``mu``,
 ``tau``, ``horizon_s`` and seeds, with one short-horizon task beside
 long ones.  Its estimates are pinned exactly, and must equal the
 estimates of one ``late_fraction_mc`` call per task.
+
+Every task of the batch ends inside a 64-step RNG block.  The kernel
+that drew one Poisson row per step ran seeds 1-7 for 1688, 888, 2904,
+176, 2576, 416 and 992 steps, none a multiple of 64.  So the pins also
+cover solves finalised at a poll inside a block, from the late and
+delivered counts as they stand at that poll.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -101,6 +109,49 @@ def test_batch_equals_one_solve_at_a_time(one_at_a_time, workers):
             TASKS)
     assert batched == singles
     assert _blocks(session) == single_blocks > 0
+
+
+#: RNG blocks each task's stream draws, by seed (154 in all).
+BLOCKS_BY_SEED = {1: 27, 2: 14, 3: 46, 4: 3, 5: 41, 6: 7, 7: 16}
+
+
+class _CountingGenerator:
+    """Delegates to a real generator and counts its calls by name."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+        return call
+
+
+def test_one_poisson_call_per_solve_and_block(monkeypatch, one_at_a_time):
+    """Each solve draws its Poisson consumptions once per 64-step block,
+    as one call beside its exponential and uniform draws, and the batch
+    draws its pinned blocks."""
+    real = np.random.default_rng
+    streams = {}
+
+    def counting(seed):
+        streams[seed] = _CountingGenerator(real(seed))
+        return streams[seed]
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    with telemetry.session() as session:
+        estimates = ReplicationExecutor(max_workers=1).solve_models(TASKS)
+    assert estimates == one_at_a_time[0]
+    assert {seed: rng.calls["standard_exponential"]
+            for seed, rng in streams.items()} == BLOCKS_BY_SEED
+    for rng in streams.values():
+        assert rng.calls["poisson"] == rng.calls["random"] \
+            == rng.calls["standard_exponential"]
+    assert _blocks(session) == sum(BLOCKS_BY_SEED.values())
 
 
 def _walk(span):
